@@ -25,6 +25,7 @@ import asyncio
 import contextlib
 import functools
 import inspect
+import itertools
 import json
 import os
 import platform
@@ -490,11 +491,11 @@ def bench_serve_page(*, legacy, cached=False):
 
     ``legacy`` is the seed's only serving story: one *class-wide* weave of
     the audience's navigation stack (through the faithful seed weaver) and
-    a direct render+serialize per request — no instance scopes, no session
-    tier, and necessarily one audience per process.  The current path is a
-    full :class:`~repro.navigation.NavigationApp` request: WSGI routing,
-    session lookup, instance-scope dispatch through the audience *and*
-    session tiers, the breadcrumb trail, then the same render+serialize —
+    a direct render+serialize per request — no instance scopes, no
+    sessions, and necessarily one audience per process.  The current path
+    is a full :class:`~repro.navigation.NavigationApp` request: WSGI
+    routing, session lookup, instance-scope dispatch through the audience
+    stack, the render+serialize, then the breadcrumb trail spliced in —
     with the skeleton cache *disabled*, so the series keeps pricing the
     render path as the cache tier evolves.
 
@@ -564,6 +565,75 @@ def bench_serve_page(*, legacy, cached=False):
                 return time_call(one, repeat=3, number=500)
             finally:
                 app.close()
+
+
+def bench_session_scaling(*, live=10_000, arrivals=2_000):
+    """A cached hit beside one live session and beside *live* of them.
+
+    Two apps share one :class:`~repro.navigation.AudienceServer` (one
+    woven renderer, one warm cache): the small app serves a single
+    session, the big one *live* sessions.  The same hit is timed on both
+    in alternating rounds, so a drift in machine speed lands on both
+    sides.  Returns ``(hit_one_ns, hit_live_ns, first_page_ns,
+    reconfigure_ns)``: *first_page_ns* is a new session's first page on
+    the big app (the same hit plus opening the session), and
+    *reconfigure_ns* one swap of the audience's stack with every session
+    live.
+    """
+    import io
+
+    from repro.baselines import museum_fixture
+    from repro.navigation import (
+        AudienceBundle,
+        AudienceServer,
+        NavigationApp,
+        ServingConfig,
+    )
+
+    def environ(sid):
+        return {
+            "REQUEST_METHOD": "GET",
+            "PATH_INFO": "/visitor/PaintingNode/guitar.html",
+            "HTTP_X_REPRO_SESSION": sid,
+            "CONTENT_LENGTH": "0",
+            "wsgi.input": io.BytesIO(b""),
+        }
+
+    bundles = [AudienceBundle("visitor", ("index", "guided-tour"))]
+    config = ServingConfig(max_sessions=live + arrivals + 1)
+    with codegen_mode(True):
+        with AudienceServer(museum_fixture(), bundles, config=config) as server:
+            small, big = NavigationApp(server), NavigationApp(server)
+            try:
+                for n in range(live):
+                    big.respond(environ(f"s{n}"))
+                one = environ("bench")
+                small.respond(one)
+                big.respond(one)
+                hits = {small: [], big: []}
+                for _ in range(15):
+                    for app in (small, big):
+                        hits[app].append(
+                            time_call(
+                                lambda app=app: app.respond(one),
+                                repeat=1,
+                                number=2_000,
+                            )
+                        )
+                fresh = iter([environ(f"new{n}") for n in range(arrivals)])
+                first_page = time_call(
+                    lambda: big.respond(next(fresh)), repeat=1, number=arrivals
+                )
+                stacks = itertools.cycle([("index",), ("index", "guided-tour")])
+                reconfigure = time_call(
+                    lambda: server.reconfigure("visitor", next(stacks)),
+                    repeat=3,
+                    number=10,
+                )
+            finally:
+                small.close()
+                big.close()
+    return min(hits[small]), min(hits[big]), first_page, reconfigure
 
 
 def bench_serve_async(*, requests=800):
@@ -830,6 +900,16 @@ def main():
         results["call_unscoped_passthrough_monitor_ns"] = bench_monitor_call(
             advised=False
         )
+    hit_one, hit_live, first_page, reconfigure = bench_session_scaling()
+    results["serve_page_cached_1_session_ns"] = hit_one
+    results["serve_page_cached_10k_sessions_ns"] = hit_live
+    results["serve_first_page_10k_sessions_ns"] = first_page
+    # Derived: a new session's first page minus the same hit for a
+    # returning one, i.e. what opening the session costs.
+    results["session_open_ns"] = first_page - hit_live
+    # Informational: sessions hold no weave state, so this is the same
+    # swap with one live session or ten thousand.
+    results["reconfigure_10k_sessions_us"] = reconfigure / 1e3
     serve_async_p50, serve_async_p99 = bench_serve_async()
     results["serve_async_p50_us"] = serve_async_p50
     results["serve_async_p99_us"] = serve_async_p99
@@ -893,6 +973,11 @@ def main():
         # instead of a full render+serialize.  Target: >= 50x.
         "serve_page_cached": results["serve_page_ns"]
         / results["serve_page_cached_ns"],
+        # Flatness, not speed: the hit beside 10,000 live sessions against
+        # the same hit beside one.  Sessions are plain data, so this stays
+        # ~1.0; the seed-era per-session weave fell below 0.05 here.
+        "serve_page_cached_10k_sessions": results["serve_page_cached_1_session_ns"]
+        / results["serve_page_cached_10k_sessions_ns"],
     }
     if monitor_supported():
         # Committed as measured, including the negative half of the
@@ -1007,6 +1092,22 @@ def main():
             file=sys.stderr,
         )
         failed = True
+    if speedups["serve_page_cached_10k_sessions"] < 1 / 1.1:
+        print(
+            "WARNING: a cached hit beside 10,000 live sessions is "
+            f"{1 / speedups['serve_page_cached_10k_sessions']:.2f}x the same "
+            "hit beside one (target: <= 1.1x — no per-request cost may grow "
+            "with the number of live sessions)",
+            file=sys.stderr,
+        )
+        failed = True
+    if results["session_open_ns"] > 20_000:
+        print(
+            "WARNING: opening a session costs "
+            f"{results['session_open_ns'] / 1e3:.1f} us (target: <= 20 us)",
+            file=sys.stderr,
+        )
+        failed = True
     if speedups["serve_page"] < 0.67:
         # check_regression gates the committed ratio; this local warning
         # catches an absolute collapse of the request path even when no
@@ -1014,7 +1115,7 @@ def main():
         print(
             "WARNING: the HTTP request path is "
             f"{1 / speedups['serve_page']:.2f}x the seed serving "
-            "path (target: <= 1.5x — scoped dispatch and the session tier "
+            "path (target: <= 1.5x — scoped dispatch and the sessions "
             "should stay render-dominated)",
             file=sys.stderr,
         )

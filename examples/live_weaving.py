@@ -16,8 +16,8 @@ reconfiguring one audience leaves the other's pages untouched.
 
 The third act puts the whole thing behind **real HTTP**: a threaded WSGI
 server over the audience server, driven here with ``urllib``.  Each
-session gets its own scope tier (private renderer + breadcrumb trail),
-and a live ``POST /-/reconfigure/curator`` changes only the curator's
+session keeps its own breadcrumb trail, spliced into the audience's
+page, and a live ``POST /-/reconfigure/curator`` changes only the curator's
 next response.
 
 Run:  python examples/live_weaving.py
@@ -119,7 +119,7 @@ def serve_over_http(fixture) -> None:
     from repro.navigation import NavigationApp
     from repro.navigation.http import make_wsgi_server
 
-    print("\n== serving over HTTP (threaded WSGI, per-session scopes) ==\n")
+    print("\n== serving over HTTP (threaded WSGI, per-session trails) ==\n")
     bundles = [
         AudienceBundle("visitor", ("index", "guided-tour")),
         AudienceBundle("curator", ("index",)),

@@ -20,9 +20,9 @@ one audience's navigation without disturbing the others::
         server.reconfigure("curator", ("indexed-guided-tour",))
 
 The HTTP front (:mod:`repro.navigation.http`) puts that process behind a
-threaded WSGI server — ``GET /{audience}/{page_uri}`` with one *session
-scope* per connected user (private renderer + :class:`BreadcrumbAspect`
-trail, idle eviction) and a live management surface
+threaded WSGI server — ``GET /{audience}/{page_uri}`` with a breadcrumb
+trail per connected user (a plain-data :class:`SessionTier`, idle
+eviction) and a live management surface
 (``POST /-/reconfigure/{audience}``, ``GET /-/stats``)::
 
     python -m repro.tools serve --audiences visitor,curator

@@ -2,7 +2,7 @@
 
 The WSGI front (:mod:`repro.navigation.http`) spends one OS thread per
 in-flight request; this module serves the identical application surface —
-routing, session scope tiers, cache semantics, management endpoints —
+routing, sessions, cache semantics, management endpoints —
 under a single event loop:
 
 - :class:`AsgiNavigationApp` adapts a :class:`~repro.navigation.http.\

@@ -1,7 +1,7 @@
 """A multi-process serving cluster with consistent-hash session sharding.
 
-One serving process holds every audience's instance-scoped stack and one
-scope tier per session; this module scales that across *processes*:
+One serving process holds every audience's instance-scoped stack and
+every session's trail; this module scales that across *processes*:
 
 - :class:`HashRing` — consistent hashing (SHA-1, virtual nodes) from
   session ids to worker names.  Adding or retiring one worker remaps
@@ -9,7 +9,7 @@ scope tier per session; this module scales that across *processes*:
 - :class:`WorkerProcess` — supervises one child ``python -m repro.tools
   serve --port 0`` on an ephemeral port: spawn (parse the serving
   banner), health, graceful ``SIGTERM`` retirement, hard kill.  Each
-  worker rebuilds the full audience scope hierarchy for itself; workers
+  worker rebuilds every audience's stack for itself; workers
   share nothing but the session records that migrate between them.
 - :class:`ClusterFront` — an ASGI reverse proxy (run it under
   :class:`~repro.navigation.asgi.AsgiHttpServer`): mints/keeps the
@@ -27,8 +27,7 @@ scope tier per session; this module scales that across *processes*:
   exhausted does the name leave the ring and its sessions remap.
 
 Sessions are sticky by construction (same sid, same worker) which is
-what keeps each session's scope tier — its private renderer and trail
-deployment — on exactly one process at a time.
+what keeps each session's trail on exactly one process at a time.
 """
 
 from __future__ import annotations
@@ -409,7 +408,7 @@ class WorkerPool:
         """Replace a dead worker's process, keeping its ring identity.
 
         A worker that died *unexpectedly* (crash, OOM kill) took its
-        session tier with it; what can still be saved is the routing
+        sessions with it; what can still be saved is the routing
         identity.  Respawning under the same name keeps every sid that
         hashed to the casualty hashing to its replacement — the sticky
         mapping and every *other* worker's sessions are untouched, and

@@ -14,7 +14,7 @@ field                       consumed by
 ``cache_enabled``           ``AudienceServer`` (page-cache tier on/off)
 ``cache_pages``             ``AudienceServer`` (per-audience LRU bound)
 ``session_idle_timeout``    ``NavigationApp`` (idle eviction)
-``max_sessions``            ``NavigationApp`` (session-tier capacity)
+``max_sessions``            ``NavigationApp`` (live-session cap)
 ``breadcrumb_limit``        ``NavigationApp`` (per-session trail bound)
 ==========================  ================================================
 
@@ -40,11 +40,13 @@ class ServingConfig:
     ``cache_enabled`` is the *configuration* switch; the effective state
     also honours the ``REPRO_PAGE_CACHE`` environment escape hatch — see
     :meth:`cache_active`.  ``session_idle_timeout=None`` disables idle
-    eviction entirely.
+    eviction entirely.  ``max_sessions`` bounds memory: a live session is
+    plain data (its trail and bookkeeping, well under 1 KiB at the
+    default trail length), so the default cap costs tens of MiB at most.
     """
 
     session_idle_timeout: float | None = 600.0
-    max_sessions: int = 512
+    max_sessions: int = 65536
     breadcrumb_limit: int = 8
     lint: str | None = None
     cache_enabled: bool = True

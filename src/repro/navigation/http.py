@@ -4,17 +4,17 @@ The ROADMAP's production rung: the live multi-audience process behind a
 real (threaded WSGI) HTTP server.  ``GET /{audience}/{page_uri}`` renders
 the page through that audience's instance-scoped navigation stack — one
 woven renderer class, every audience's stack live simultaneously — and
-every *session* gets a second scope tier of its own:
+splices in the requesting session's breadcrumb trail:
 
-- the session's private renderer instance is adopted into the audience's
-  persistent :class:`~repro.aop.InstanceScope`, so it rides the
-  audience's navigation (and any live ``reconfigure`` of it);
-- session-private concerns — the :class:`~repro.navigation.session.\
-BreadcrumbAspect` trail — deploy into a per-session scope layered on
-  top, so two users of one audience each see only their own footsteps;
-- sessions idle past the timeout are evicted: their trail deployment
-  unwinds (releasing the scope's marker defaults) and their renderer is
-  discarded from the audience scope.
+- a session is plain data (:class:`~repro.navigation.serving.SessionTier`:
+  id, audience, trail); nothing is woven per session;
+- every page is an audience-level skeleton (cached per weave epoch, or
+  rendered fresh when the cache is off or bypassed) with the session's
+  trail fragment spliced over its slot, so two users of one audience
+  each see only their own footsteps;
+- sessions idle past the timeout are evicted oldest first from a map
+  kept in last-seen order, so a request's session bookkeeping is O(1)
+  amortised however many sessions are live.
 
 Sessions are identified by the ``repro_session`` cookie (minted on the
 first response) or an explicit ``X-Repro-Session`` request header.
@@ -46,8 +46,7 @@ import json
 import threading
 import time
 import uuid
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, OrderedDict, deque
 from socketserver import ThreadingMixIn
 from typing import Any, Callable, Iterable, Mapping
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
@@ -66,7 +65,7 @@ from .serving import (
     build_node_map,
     resolve_page_target,
 )
-from .session import BreadcrumbAspect, SessionRecord, breadcrumb_fragment
+from .session import SessionRecord, breadcrumb_fragment
 
 #: The session cookie the app mints on a cookieless request.
 SESSION_COOKIE = "repro_session"
@@ -74,15 +73,15 @@ SESSION_COOKIE = "repro_session"
 #: Request header overriding the cookie (handy for scripted clients).
 SESSION_HEADER = "HTTP_X_REPRO_SESSION"
 
-#: Request header controlling the page cache; send ``bypass`` to force a
-#: full render through the session's own woven renderer.  Responses echo
+#: Request header controlling the page cache; send ``bypass`` to render
+#: the page afresh without touching the cache.  Responses echo
 #: the cache outcome in the same header: ``hit``, ``miss``, ``bypass``
 #: or ``off``.
 CACHE_HEADER = "HTTP_X_REPRO_CACHE"
 
 
 class SessionCapacityError(RuntimeError):
-    """No capacity for another session scope (served as ``503``)."""
+    """No capacity for another session (served as ``503``)."""
 
 
 def quantile(sorted_values: "list[float]", q: float) -> float:
@@ -141,58 +140,33 @@ class _MethodNotAllowed(Exception):
         self.allowed = allowed
 
 
-@dataclass
-class ServingSession:
-    """One authenticated session's scope tier, held by the app."""
-
-    sid: str
-    audience: str
-    #: The session's scope tier handle (renderer + scope + deployments).
-    tier: SessionTier
-    #: The session's trail aspect (undeployed on eviction, via the tier).
-    breadcrumbs: BreadcrumbAspect
-    #: Last request time, by the app's clock; eviction compares this.
-    last_seen: float
-    #: Pages served to this session (observability for ``/-/stats``).
-    requests: int = 0
-
-    @property
-    def renderer(self) -> Any:
-        """The session's private renderer (a member of the audience scope)."""
-        return self.tier.renderer
-
-    @property
-    def scope(self) -> Any:
-        """The per-session scope the trail deployment dispatches through."""
-        return self.tier.scope
-
-
 class NavigationApp:
     """A WSGI application serving every audience — and every user — live.
 
     One :class:`~repro.navigation.serving.AudienceServer` underneath; the
-    app adds the HTTP routing and the per-session scope tier.  Renders
-    are lock-free and run concurrently across server threads; session
-    bookkeeping (open/evict) and weave mutations are serialized by the
-    app's lock over the server's.
+    app adds the HTTP routing and the sessions.  Renders are lock-free
+    and run concurrently across server threads; session bookkeeping
+    (open/touch/evict) is serialized by the app's lock, weave mutations
+    by the server's.
 
     Session policy comes from a :class:`~repro.navigation.config.
     ServingConfig` (default: the server's own): ``session_idle_timeout``
     seconds without a request evicts a session (checked opportunistically
     on every request, or explicitly via :meth:`evict_idle`);
-    ``max_sessions`` bounds the live scope tier — every session costs a
-    renderer instance plus a weave deployment, so a client that never
-    replays its cookie must not grow the stack without limit; at the cap
+    ``max_sessions`` bounds the live sessions, so a client that never
+    replays its cookie cannot grow memory without limit; at the cap
     (after evicting every idle session) new sessions are refused with
     ``503``.  The old per-knob keyword arguments still work as
-    deprecated shims.  ``clock`` is injectable for tests.
+    deprecated shims.  ``clock`` is injectable for tests; it must not
+    run backwards, since eviction walks sessions in last-seen order.
 
-    When the server's page-cache tier is on, ``GET`` responses assemble
-    from a cached audience-level skeleton plus the session's freshly
-    rendered breadcrumb fragment (see :mod:`repro.navigation.cache`);
-    the ``X-Repro-Cache`` response header reports ``hit``/``miss``/
-    ``bypass``/``off``, and sending ``X-Repro-Cache: bypass`` forces a
-    full render through the session's own woven renderer.
+    ``GET`` responses assemble from an audience-level skeleton plus the
+    session's freshly rendered breadcrumb fragment (see
+    :mod:`repro.navigation.cache`).  With the server's page cache on,
+    the skeleton comes from the cache; the ``X-Repro-Cache`` response
+    header reports ``hit``/``miss``/``bypass``/``off``, and sending
+    ``X-Repro-Cache: bypass`` renders the skeleton afresh without
+    touching the cache.  Every outcome serves the same bytes.
     """
 
     def __init__(
@@ -227,10 +201,13 @@ class NavigationApp:
         self._breadcrumb_limit = config.breadcrumb_limit
         self._clock = clock
         self._lock = threading.Lock()
-        self._sessions: dict[tuple[str, str], ServingSession] = {}
+        #: ``(sid, audience)`` -> session, least recently seen first: every
+        #: touch moves a session to the end, so eviction pops from the
+        #: front and stops at the first session still inside the timeout.
+        self._sessions: OrderedDict[tuple[str, str], SessionTier] = OrderedDict()
         self._evicted_total = 0
-        #: Pages served by sessions since evicted (live counts add to it).
-        self._served_by_evicted = 0
+        #: Pages served, evicted sessions included (restores add theirs).
+        self._requests_total = 0
         self._sid_counter = itertools.count(1)
         # Per-audience request counters and rolling latency windows; the
         # /-/stats latency summary the load harness reads comes from here.
@@ -331,56 +308,33 @@ class NavigationApp:
 
     def _page(self, environ, audience: str, page_uri: str):
         started = time.perf_counter()
-        # Resolve the page *before* touching the session tier: a request
-        # that will 404 must not cost a renderer + weave deployment.
+        # Resolve the page *before* touching the sessions: a request that
+        # will 404 must not open one.
         normalized, node = resolve_page_target(self._nodes, page_uri)
         session, minted = self._session_for(environ, audience)
         bypass = environ.get(CACHE_HEADER, "").strip().lower() == "bypass"
         cache = None if bypass else self._server.page_cache(audience)
         if cache is None:
-            # Full render through the session's own woven renderer: the
-            # audience stack *and* the session's trail aspect both fire.
-            if node is None:
-                page = session.renderer.render_home()
-            else:
-                page = session.renderer.render_node(node)
-            text = page.html()
             outcome = "bypass" if bypass else "off"
+            entry = self._render_skeleton(audience, node)
         else:
-            # Cached path: the skeleton is audience-level (rendered
-            # through the audience's shared renderer, which no session
-            # scope advises — nothing session-variant can leak into it)
-            # and the trail block is rendered fresh per request, then
-            # spliced over the skeleton's slot.  The epoch is snapshotted
-            # *before* the render: a weave mutation landing mid-render
-            # moves the audience to a newer epoch, so the skeleton we
-            # install stays keyed under the superseded one and no later
-            # request can hit it.
+            # The epoch is snapshotted *before* the render: a weave
+            # mutation landing mid-render moves the audience to a newer
+            # epoch, so the skeleton we install stays keyed under the
+            # superseded one and no later request can hit it.
             epoch = self._server.weave_epoch(audience)
             entry = cache.get(normalized, epoch)
             if entry is None:
                 outcome = "miss"
-                renderer = self._server.renderer(audience)
-                if node is None:
-                    page = renderer.render_home()
-                else:
-                    page = renderer.render_node(node)
-                skeleton, _ = page.skeleton_html()
-                entry = CachedSkeleton(
-                    skeleton=skeleton,
-                    title=page.title or page.path,
-                    path=page.path,
-                )
+                entry = self._render_skeleton(audience, node)
                 cache.put(normalized, epoch, entry)
             else:
                 outcome = "hit"
-            # Same (path, title) the trail aspect would have recorded on
-            # a live render, so hit, miss and bypass grow the trail
-            # identically.
-            crumbs = session.breadcrumbs.trail.record(entry.path, entry.title)
-            text = compose_page(
-                entry.skeleton, breadcrumb_fragment(crumbs, entry.path)
-            )
+        # One assembly for every outcome: the trail grows by the same
+        # (path, title) and splices over the same slot, so hit, miss,
+        # bypass and off serve identical bytes.
+        crumbs = session.trail.record(entry.path, entry.title)
+        text = compose_page(entry.skeleton, breadcrumb_fragment(crumbs, entry.path))
         body = text.encode("utf-8")
         headers = _html_headers(body)
         if minted:
@@ -392,6 +346,22 @@ class NavigationApp:
         headers.append(("X-Repro-Cache", outcome))
         self._latency[audience].record((time.perf_counter() - started) * 1e6)
         return "200 OK", headers, body
+
+    def _render_skeleton(self, audience: str, node: Any) -> CachedSkeleton:
+        """Render *node* (``None``: home) through the audience renderer.
+
+        The skeleton is audience-level: only the audience's navigation is
+        woven into it, and the slot where a trail goes is left empty.
+        """
+        renderer = self._server.renderer(audience)
+        if node is None:
+            page = renderer.render_home()
+        else:
+            page = renderer.render_node(node)
+        skeleton, _ = page.skeleton_html()
+        return CachedSkeleton(
+            skeleton=skeleton, title=page.title or page.path, path=page.path
+        )
 
     def _reconfigure(self, environ, audience: str):
         # ValueError -> 400 only here: a malformed body or an unknown
@@ -415,79 +385,66 @@ class NavigationApp:
             },
         )
 
-    # -- the session tier ------------------------------------------------------
+    # -- sessions --------------------------------------------------------------
 
-    def _session_for(self, environ, audience: str) -> tuple[ServingSession, bool]:
+    def _session_for(self, environ, audience: str) -> tuple[SessionTier, bool]:
         sid = environ.get(SESSION_HEADER) or _cookie_sid(environ)
-        now = self._clock()
         with self._lock:
+            # Read under the lock, so the map's order is last-seen order.
+            now = self._clock()
             self._evict_idle_locked(now)
             minted = sid is None
             if minted:
                 sid = f"s{next(self._sid_counter)}-{uuid.uuid4().hex[:12]}"
-            session = self._sessions.get((sid, audience))
-            if session is None:
-                if len(self._sessions) >= self._max_sessions:
-                    raise SessionCapacityError(
-                        f"{len(self._sessions)} live sessions (cap "
-                        f"{self._max_sessions}); retry with an existing "
-                        "session cookie or after the idle timeout"
-                    )
-                session = self._open_session_locked(sid, audience, now)
-            session.last_seen = now
+            session = self._touch_locked(sid, audience, now)
             session.requests += 1
+            self._requests_total += 1
             return session, minted
 
-    def _open_session_locked(
-        self, sid: str, audience: str, now: float
-    ) -> ServingSession:
-        tier = self._server.session_tier(audience)
-        breadcrumbs = BreadcrumbAspect(limit=self._breadcrumb_limit)
-        try:
-            tier.deploy(breadcrumbs)
-        except BaseException:
-            tier.close()
-            raise
-        session = ServingSession(
-            sid=sid,
-            audience=audience,
-            tier=tier,
-            breadcrumbs=breadcrumbs,
-            last_seen=now,
-        )
-        self._sessions[(sid, audience)] = session
+    def _touch_locked(self, sid: str, audience: str, now: float) -> SessionTier:
+        """The live ``(sid, audience)`` session, opened if need be, seen *now*."""
+        key = (sid, audience)
+        session = self._sessions.get(key)
+        if session is None:
+            if len(self._sessions) >= self._max_sessions:
+                raise SessionCapacityError(
+                    f"{len(self._sessions)} live sessions (cap "
+                    f"{self._max_sessions}); retry with an existing "
+                    "session cookie or after the idle timeout"
+                )
+            session = self._server.session_tier(
+                audience, sid, limit=self._breadcrumb_limit
+            )
+            self._sessions[key] = session
+        else:
+            self._sessions.move_to_end(key)
+        session.last_seen = now
         return session
 
-    def _close_session_locked(self, session: ServingSession) -> None:
-        self._sessions.pop((session.sid, session.audience), None)
-        # Closing the tier unwinds the trail deployment (releasing the
-        # session scope's marker state) and discards the renderer from
-        # the audience scope, so the instance is back to plain rendering.
-        session.tier.close()
+    def _close_session_locked(self, session: SessionTier) -> None:
+        del self._sessions[(session.sid, session.audience)]
+        session.close()
         self._evicted_total += 1
-        self._served_by_evicted += session.requests
 
-    def _evict_idle_locked(self, now: float) -> list[ServingSession]:
+    def _evict_idle_locked(self, now: float) -> int:
         if self._idle_timeout is None:
-            return []
-        expired = [
-            session
-            for session in self._sessions.values()
-            if now - session.last_seen > self._idle_timeout
-        ]
-        for session in expired:
-            self._close_session_locked(session)
-        return expired
+            return 0
+        evicted = 0
+        while self._sessions:
+            oldest = next(iter(self._sessions.values()))
+            if now - oldest.last_seen <= self._idle_timeout:
+                break
+            self._close_session_locked(oldest)
+            evicted += 1
+        return evicted
 
     def evict_idle(self, *, now: float | None = None) -> int:
         """Evict every session idle past the timeout; returns the count."""
         with self._lock:
-            return len(
-                self._evict_idle_locked(self._clock() if now is None else now)
-            )
+            return self._evict_idle_locked(self._clock() if now is None else now)
 
-    def sessions(self) -> list[ServingSession]:
-        """The live sessions (snapshot, newest bookkeeping included)."""
+    def sessions(self) -> list[SessionTier]:
+        """The live sessions, least recently seen first (a snapshot)."""
         with self._lock:
             return list(self._sessions.values())
 
@@ -502,60 +459,43 @@ class NavigationApp:
         Also served at ``GET /-/sessions``.
         """
         with self._lock:
-            return [
-                SessionRecord(
-                    sid=session.sid,
-                    audience=session.audience,
-                    trail=tuple(session.breadcrumbs.trail.entries()),
-                    last_seen=session.last_seen,
-                    requests=session.requests,
-                )
-                for session in self._sessions.values()
-            ]
+            return [session.snapshot() for session in self._sessions.values()]
 
-    def restore_session(self, record: SessionRecord) -> ServingSession:
-        """Restore a snapshotted session into this app's scope tier.
+    def restore_session(self, record: SessionRecord) -> SessionTier:
+        """Restore a snapshotted session into this app.
 
-        Opens the session's scope tier if ``(sid, audience)`` is not
-        already live (same path a cookie-bearing request takes: capacity
-        check, private renderer, session-scoped trail deployment), then
-        replaces its breadcrumb trail with the record's — so the next
-        page this session renders shows exactly the crumbs it would have
-        on the worker it left.  ``last_seen`` is stamped from *this*
-        app's clock (monotonic clocks don't travel between processes)
-        and the record's request count is carried over.
+        Opens the session if ``(sid, audience)`` is not already live (the
+        same path a cookie-bearing request takes, capacity check
+        included), then replaces its breadcrumb trail with the record's —
+        so the next page this session renders shows exactly the crumbs it
+        would have on the worker it left.  ``last_seen`` is stamped from
+        *this* app's clock (monotonic clocks don't travel between
+        processes) and a newly opened session carries the record's
+        request count over.
 
         Raises :class:`~repro.navigation.errors.NavigationError` for an
         unknown audience and :class:`SessionCapacityError` at the session
         cap — the HTTP surface maps them to 404/503 as usual.
         """
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._evict_idle_locked(now)
             if record.audience not in self._server.audiences():
                 raise NavigationError(
                     f"cannot restore session {record.sid!r}: no audience "
                     f"{record.audience!r}"
                 )
-            session = self._sessions.get((record.sid, record.audience))
-            if session is None:
-                if len(self._sessions) >= self._max_sessions:
-                    raise SessionCapacityError(
-                        f"cannot restore session {record.sid!r}: "
-                        f"{len(self._sessions)} live sessions (cap "
-                        f"{self._max_sessions})"
-                    )
-                session = self._open_session_locked(
-                    record.sid, record.audience, now
-                )
+            opened = (record.sid, record.audience) not in self._sessions
+            session = self._touch_locked(record.sid, record.audience, now)
+            if opened:
                 session.requests = record.requests
-            session.last_seen = now
-            session.breadcrumbs.trail.restore(record.trail)
+                self._requests_total += record.requests
+            session.trail.restore(record.trail)
             return session
 
     def _restore_sessions(self, environ):
         # Mirrors _reconfigure's error split: a malformed body is the
-        # client's fault (400); capacity is 503 per the session-tier
+        # client's fault (400); capacity is 503 per the session
         # contract.  Restores are per-record best-effort so one bad
         # record cannot strand the rest of a draining worker's sessions —
         # the response reports both sides.
@@ -586,19 +526,14 @@ class NavigationApp:
     def stats(self) -> dict[str, Any]:
         """The management snapshot served at ``GET /-/stats``."""
         with self._lock:
-            by_audience: dict[str, int] = {}
-            for session in self._sessions.values():
-                by_audience[session.audience] = (
-                    by_audience.get(session.audience, 0) + 1
-                )
             sessions = {
                 "active": len(self._sessions),
                 "evicted_total": self._evicted_total,
-                "by_audience": by_audience,
-                # Monotonic: evicted sessions' counts are accumulated, so
-                # the total never drops when the idle timeout fires.
-                "requests": self._served_by_evicted
-                + sum(s.requests for s in self._sessions.values()),
+                "by_audience": dict(
+                    Counter(s.audience for s in self._sessions.values())
+                ),
+                # Monotonic: the total never drops when sessions evict.
+                "requests": self._requests_total,
             }
         audiences = {}
         for audience in self._server.audiences():

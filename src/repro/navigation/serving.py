@@ -46,6 +46,7 @@ from .audience import DEFAULT_AUDIENCES, AudienceBundle
 from .cache import PageCache
 from .config import ServingConfig
 from .errors import NavigationError
+from .session import BreadcrumbTrail, SessionRecord
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` in the
 #: deprecated keyword shims.
@@ -177,16 +178,15 @@ class AudienceServer:
     :func:`~repro.core.navspec.default_museum_spec` and shared across
     every bundle that stacks them.
 
-    **Two scope tiers.**  Each audience's deployments share one
-    *persistent* :class:`~repro.aop.InstanceScope` (created with the
-    audience's renderer and kept across :meth:`reconfigure`), so extra
-    renderer instances adopted into the audience — one per connected
-    session, see :mod:`repro.navigation.http` — ride the audience's
-    navigation stack the moment they are added.  Session-private concerns
-    (breadcrumb trails) deploy through a :meth:`session_tier` handle into
-    their own per-session scopes, layered over the audience tier in the
-    same transactional deployment set.  All weave *mutations* are serialized
-    on an internal lock; renders stay lock-free and concurrent.
+    **One scope per audience, none per session.**  Each audience's
+    deployments share one *persistent* :class:`~repro.aop.InstanceScope`
+    holding the audience's renderer, kept across :meth:`reconfigure`, so
+    the number of scopes and deployments is bounded by the audiences
+    served.  A session is plain data (:class:`SessionTier`): its
+    breadcrumb trail is spliced into pages the audience renderer
+    produced, so opening, serving and evicting sessions never touches the
+    weave.  All weave *mutations* are serialized on an internal lock;
+    renders stay lock-free and concurrent.
     """
 
     def __init__(
@@ -212,8 +212,8 @@ class AudienceServer:
             config = config.replace(lint=lint)
         self._config = config
         # None, "warn" or "error": passed to every DeploymentSet.add this
-        # server performs (audience stacks and session aspects alike), so
-        # a serving process can refuse statically-broken weaves up front.
+        # server performs, so a serving process can refuse
+        # statically-broken weaves up front.
         self._lint = config.lint
         # Read once: flipping REPRO_PAGE_CACHE affects servers built
         # afterwards, never this one's live caches.
@@ -232,9 +232,6 @@ class AudienceServer:
         self._epochs: dict[str, int] = {}
         #: Audience -> skeleton cache (``None`` when the tier is off).
         self._caches: dict[str, PageCache | None] = {}
-        #: id(aspect) -> (aspect, resolved scope, audience or None) for
-        #: live session-tier deployments.
-        self._session_aspects: dict[int, tuple[Aspect, InstanceScope, str | None]] = {}
         self._providers: dict[str, LazyWovenProvider] = {}
         self._closed = False
         self._lock = threading.RLock()
@@ -344,8 +341,8 @@ class AudienceServer:
         """The audience's persistent instance scope.
 
         Every deployment of the audience's stack dispatches through this
-        one scope — across reconfigures — so a renderer adopted into it is
-        advised by whatever the audience's *current* stack is.
+        one scope — across reconfigures — so a renderer in it is advised
+        by whatever the audience's *current* stack is.
         """
         self._require(audience)
         return self._scopes[audience]
@@ -393,9 +390,9 @@ class AudienceServer:
 
         A snapshot of :attr:`~repro.aop.WeaverRuntime.weave_epoch` taken
         under the server lock after the last mutation that touched this
-        audience — ``reconfigure``, a scoped session deployment, or
-        ``close``.  A skeleton rendered and cached under epoch *e* is
-        valid exactly while this still returns *e*.
+        audience — ``reconfigure`` or ``close``.  A skeleton rendered and
+        cached under epoch *e* is valid exactly while this still returns
+        *e*.
         """
         self._require(audience)
         return self._epochs[audience]
@@ -410,130 +407,19 @@ class AudienceServer:
         self._require(audience)
         return self._caches.get(audience)
 
-    # -- the session tier ------------------------------------------------------
+    # -- sessions --------------------------------------------------------------
 
-    def session_tier(self, audience: str) -> "SessionTier":
-        """Open a session scope tier over *audience*'s live stack.
+    def session_tier(
+        self, audience: str, sid: str = "", *, limit: int = 8
+    ) -> "SessionTier":
+        """Open a session over *audience*: a fresh :class:`SessionTier`.
 
-        Adopts a fresh private renderer into the audience's persistent
-        scope and pairs it with a per-session
-        :class:`~repro.aop.InstanceScope`; the returned
-        :class:`SessionTier` deploys session-private aspects through
-        :meth:`SessionTier.deploy` and unwinds everything — deployments
-        and the renderer's scope membership — in one
-        :meth:`SessionTier.close` (or ``with`` block).
+        Plain data: nothing is woven, no lock is taken and no epoch
+        moves, so opening a session costs the same with one or ten
+        thousand live.  *limit* bounds the session's breadcrumb trail.
         """
-        with self._lock:
-            renderer = self._adopt_renderer(audience)
-            return SessionTier(self, audience, renderer, InstanceScope([renderer]))
-
-    def _adopt_renderer(self, audience: str) -> Any:
-        from repro.core import PageRenderer
-
-        with self._lock:
-            self._require(audience)
-            renderer = PageRenderer(self._fixture)
-            self._scopes[audience].add(renderer)
-            return renderer
-
-    def _release_renderer(self, audience: str, renderer: Any) -> None:
-        with self._lock:
-            scope = self._scopes.get(audience)
-            if scope is not None:
-                scope.discard(renderer)
-
-    def _deploy_scoped(
-        self,
-        aspect: Aspect,
-        instances: "Iterable[Any] | InstanceScope",
-        *,
-        audience: str | None = None,
-    ) -> Deployment:
-        with self._lock:
-            if self._closed:
-                raise NavigationError("audience server is closed")
-            scope = InstanceScope.resolve(instances)
-            deployment = self._tx._add(aspect, instances=scope, lint=self._lint)
-            self._session_aspects[id(aspect)] = (aspect, scope, audience)
-            # Cached skeletons render through the audience's *shared*
-            # renderer, so a scoped deployment only supersedes them when
-            # that renderer is a scope member.  A purely session-scoped
-            # deploy (the common case: every new session's breadcrumb
-            # tier) leaves the cache warm.  With no target audience we
-            # can't tell whose skeletons the scope touches — bump all.
-            if audience is None or self._renderers[audience] in scope:
-                self._bump_epoch(audience)
-            return deployment
-
-    def _undeploy_scoped(self, aspect: Aspect) -> None:
-        with self._lock:
-            entry = self._session_aspects.pop(id(aspect), None)
-            if self._closed:
-                return
-            live = [d for d in self._tx.deployments if d.aspect is aspect]
-            if live:
-                self._tx.undeploy(live)
-            if live or entry is not None:
-                # Mirror the deploy-side rule: a deployment that never
-                # covered the audience's shared renderer never reached a
-                # cached skeleton, so undeploying it leaves the cache
-                # coherent.  Unknown target → conservative bump of all.
-                audience = entry[2] if entry is not None else None
-                if audience is None or self._renderers[audience] in entry[1]:
-                    self._bump_epoch(audience)
-
-    def adopt_renderer(self, audience: str) -> Any:
-        """Deprecated: use :meth:`session_tier` (adopt + scope in one handle).
-
-        A fresh renderer instance riding *audience*'s navigation stack:
-        the instance joins the audience's persistent scope, so the
-        stack's marker dispatch stamps it immediately and a later
-        :meth:`reconfigure` re-skins it along with every other member.
-        Pair with :meth:`release_renderer`.
-        """
-        _deprecated("AudienceServer.adopt_renderer", "session_tier")
-        return self._adopt_renderer(audience)
-
-    def release_renderer(self, audience: str, renderer: Any) -> None:
-        """Deprecated: use :meth:`SessionTier.close`.
-
-        Evicts an adopted renderer from the audience's scope, stripping
-        the scope's marker stamp so the instance falls back to plain
-        rendering; idempotent, and safe after :meth:`close`.
-        """
-        _deprecated("AudienceServer.release_renderer", "SessionTier.close")
-        self._release_renderer(audience, renderer)
-
-    def deploy_scoped(
-        self,
-        aspect: Aspect,
-        instances: "Iterable[Any] | InstanceScope",
-        *,
-        audience: str | None = None,
-    ) -> Deployment:
-        """Deprecated: use :meth:`SessionTier.deploy`.
-
-        Layers a session-private aspect over the audience tier: deploys
-        *aspect* into the server's transactional set, scoped to
-        *instances* (resolved to one :class:`~repro.aop.InstanceScope`
-        up front — a bare iterable is consumed exactly once — and that
-        same scope object rides every re-weave).  ``audience`` (when
-        known) lets :meth:`reconfigure` re-stack only the targeted
-        audience's session aspects; undo with :meth:`undeploy_scoped`.
-        """
-        _deprecated("AudienceServer.deploy_scoped", "SessionTier.deploy")
-        return self._deploy_scoped(aspect, instances, audience=audience)
-
-    def undeploy_scoped(self, aspect: Aspect) -> None:
-        """Deprecated: use :meth:`SessionTier.undeploy` (or ``close``).
-
-        Unwinds a session aspect deployed via :meth:`deploy_scoped`,
-        looked up by aspect identity (handles are refreshed whenever a
-        reconfigure re-weaves the stack above it); a no-op when the
-        aspect is not live — eviction after :meth:`close` must not raise.
-        """
-        _deprecated("AudienceServer.undeploy_scoped", "SessionTier.undeploy")
-        self._undeploy_scoped(aspect)
+        self._require(audience)
+        return SessionTier(sid, audience, limit=limit)
 
     def reconfigure(
         self, audience: str, bundle: AudienceBundle | Iterable[str]
@@ -542,10 +428,12 @@ class AudienceServer:
 
         *bundle* is an :class:`AudienceBundle` or a bare iterable of
         access-structure names.  The audience's deployments are undeployed
-        through the set (LIFO unwind, survivors re-woven with their
-        original instance scopes) and the new stack is added in their
-        place; the audience keeps its renderer instance, so existing
+        through the set (LIFO unwind, other audiences' survivors re-woven
+        with their original instance scopes) and the new stack is added in
+        their place; the audience keeps its renderer instance, so existing
         providers and agents see the new navigation on their next request.
+        The work is bounded by the audiences served: sessions hold no
+        weave state, so none is re-stacked.
 
         Failure-safe: the new bundle's specs are resolved *before* the old
         stack is disturbed (an unknown access-structure name raises with
@@ -564,40 +452,14 @@ class AudienceServer:
             self._bump_epoch(audience)
             previous = self._bundles[audience]
             old = self.deployments(audience)
-            # Session aspects always stack *above* every audience's
-            # navigation (they are deployed after the constructor wove
-            # the audiences).  Re-weaving the new stack appends it to the
-            # top of the transaction, so the *targeted* audience's session
-            # deployments are unwound here and re-added afterwards —
-            # keeping the documented order (audience tier below, session
-            # tier above) stable across reconfigures for its live
-            # sessions.  Other audiences' sessions are left to the partial
-            # undeploy's survivor re-weave (they end up above the new
-            # stack regardless, since they were deployed after every
-            # audience's initial weave).
-            restacked = [
-                entry
-                for entry in self._session_aspects.values()
-                if entry[2] in (None, audience)
-            ]
-            restack_ids = {id(entry[0]) for entry in restacked}
-            sessions = [
-                d
-                for d in self._tx.deployments
-                if id(d.aspect) in restack_ids
-            ]
-            if old or sessions:
-                self._tx.undeploy([*old, *sessions])
+            if old:
+                self._tx.undeploy(old)
             try:
                 self._weave(bundle)
             except BaseException:
                 self._weave(previous)
                 raise
             finally:
-                # Both on success and on a rolled-back failure, the
-                # audience's sessions return to the top of the stack.
-                for aspect, scope, _ in restacked:
-                    self._tx._add(aspect, instances=scope)
                 # Closing fence: anything rendered *during* the swap was
                 # keyed under the opening fence's epoch and dies here, so
                 # the first post-reconfigure request re-renders.
@@ -627,93 +489,55 @@ class AudienceServer:
 
 
 class SessionTier:
-    """One session's scope tier over an audience's live stack, as a handle.
+    """One session over an audience, as plain data.
 
-    Returned by :meth:`AudienceServer.session_tier`: owns a freshly
-    adopted private renderer (a member of the audience's persistent
-    scope, so it rides the audience's navigation and any live
-    reconfigure of it) plus a per-session
-    :class:`~repro.aop.InstanceScope` for session-private concerns.
-    :meth:`deploy` layers an aspect over the audience tier scoped to
-    this session; :meth:`close` — or leaving a ``with`` block — unwinds
-    every tier deployment *and* the renderer's scope membership
-    together, replacing the four-call adopt/deploy/undeploy/release
-    dance of the old surface.
+    The session's id, audience and breadcrumb trail, plus the bookkeeping
+    the HTTP front keeps for it: the live form of a
+    :class:`~repro.navigation.session.SessionRecord`.  Nothing is woven
+    per session.  Pages render through the audience's shared renderer and
+    the trail is spliced in as a fragment (see
+    :mod:`repro.navigation.http`), so a session costs a few small objects
+    and opening, touching or evicting one is O(1).
     """
 
+    __slots__ = ("sid", "audience", "trail", "last_seen", "requests")
+
     def __init__(
-        self,
-        server: AudienceServer,
-        audience: str,
-        renderer: Any,
-        scope: InstanceScope,
+        self, sid: str, audience: str, *, limit: int = 8, last_seen: float = 0.0
     ):
-        self._server = server
-        self._audience = audience
-        self._renderer = renderer
-        self._scope = scope
-        self._aspects: list[Aspect] = []
-        self._closed = False
+        self.sid = sid
+        self.audience = audience
+        self.trail = BreadcrumbTrail(limit)
+        #: Last request time, by the serving app's clock.
+        self.last_seen = last_seen
+        #: Pages served to this session (observability for ``/-/stats``).
+        self.requests = 0
 
-    @property
-    def audience(self) -> str:
-        return self._audience
-
-    @property
-    def renderer(self) -> Any:
-        """The session's private renderer (member of the audience scope)."""
-        return self._renderer
-
-    @property
-    def scope(self) -> InstanceScope:
-        """The per-session scope tier deployments dispatch through."""
-        return self._scope
-
-    def aspects(self) -> list[Aspect]:
-        """This tier's live aspects, oldest first."""
-        return list(self._aspects)
-
-    def deploy(
-        self, aspect: Aspect, instances: "Iterable[Any] | InstanceScope | None" = None
-    ) -> Deployment:
-        """Deploy *aspect* scoped to this session (default: the tier scope).
-
-        Stacks over the audience tier in the server's transactional set;
-        closed tiers refuse.  The deployment is owned by the tier —
-        :meth:`close` unwinds it — or undo it early with
-        :meth:`undeploy`.
-        """
-        if self._closed:
-            raise NavigationError(
-                f"session tier over {self._audience!r} is closed"
-            )
-        deployment = self._server._deploy_scoped(
-            aspect,
-            self._scope if instances is None else instances,
-            audience=self._audience,
+    def snapshot(self) -> SessionRecord:
+        """This session as a portable :class:`SessionRecord`."""
+        return SessionRecord(
+            sid=self.sid,
+            audience=self.audience,
+            trail=tuple(self.trail.entries()),
+            last_seen=self.last_seen,
+            requests=self.requests,
         )
-        self._aspects.append(aspect)
-        return deployment
 
-    def undeploy(self, aspect: Aspect) -> None:
-        """Unwind one tier deployment early (by aspect identity)."""
-        self._server._undeploy_scoped(aspect)
-        self._aspects = [a for a in self._aspects if a is not aspect]
+    def deploy(self, aspect: Aspect) -> Deployment:
+        """Refuse: sessions weave nothing.
+
+        Navigation is woven per audience (:meth:`AudienceServer.
+        reconfigure`); a session's own concern, its trail, is data.
+        """
+        raise NavigationError(
+            f"cannot deploy {type(aspect).__name__} into a session: sessions "
+            "are plain data; weave navigation per audience with "
+            "AudienceServer.reconfigure"
+        )
 
     def close(self) -> None:
-        """Unwind the whole tier: every deployment, then the renderer.
-
-        LIFO over the tier's aspects, then the renderer leaves the
-        audience scope (stripping its marker stamp, back to plain
-        rendering).  Idempotent, and safe after the server closed.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for aspect in reversed(self._aspects):
-            self._server._undeploy_scoped(aspect)
-        self._aspects.clear()
-        self._server._release_renderer(self._audience, self._renderer)
+        """Drop the trail; idempotent.  There is no weave state to unwind."""
+        self.trail.clear()
 
     def __enter__(self) -> "SessionTier":
         return self
@@ -722,8 +546,7 @@ class SessionTier:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
         return (
-            f"<SessionTier {state}, audience={self._audience!r}, "
-            f"aspects={len(self._aspects)}>"
+            f"<SessionTier {self.sid!r}, audience={self.audience!r}, "
+            f"crumbs={len(self.trail)}>"
         )

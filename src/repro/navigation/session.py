@@ -6,12 +6,12 @@ the current navigational context; ``next()`` asks the context, so Guitar →
 Next yields another Picasso in the by-painter context and another cubist
 painting in the by-movement context.
 
-The per-user half of that example lives here too:
-:class:`BreadcrumbAspect` is a *session* navigation concern — a trail of
-the pages one user visited, woven over that user's private renderer
-instance (an instance-scoped deployment, see
-:mod:`repro.navigation.http`), so two users browsing the same audience
-from one live process each see only their own footsteps.
+The per-user half of that example lives here too: a
+:class:`BreadcrumbTrail` of the pages one user visited.  Woven in process
+it is :class:`BreadcrumbAspect`; served over HTTP it is plain session
+data whose :func:`breadcrumb_fragment` is spliced into the audience's
+page (see :mod:`repro.navigation.http`), so two users browsing the same
+audience from one live process each see only their own footsteps.
 """
 
 from __future__ import annotations
@@ -238,9 +238,9 @@ def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
 
     ``None`` when there is nothing to show (first visit).  One builder for
     both trail producers — :class:`BreadcrumbAspect` appends the element
-    into the rendered tree, while the serving layer's cache-hit path
-    serializes it standalone as the per-request fragment — so the two can
-    never drift apart.
+    into the rendered tree, while the serving layer serializes it
+    standalone as the per-request fragment — so the two can never drift
+    apart.
     """
     if not crumbs:
         return None
@@ -265,7 +265,7 @@ def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:
     Exactly the fragment :meth:`~repro.web.html.HtmlPage.skeleton_html`
     lifts out of a rendered page, so skeleton-plus-fragment assembly
     produces the same bytes whether the fragment came from a live render
-    (cache miss) or straight from the session's trail (cache hit).
+    or straight from the session's trail.
     """
     nav = breadcrumb_nav(crumbs, path)
     if nav is None:
@@ -280,10 +280,10 @@ class BreadcrumbAspect(Aspect):
 
     A *session* navigation concern: where :class:`NavigationAspect` is
     per-audience (what the site offers), the breadcrumb trail is per-user
-    (where *you* have been).  Deployed instance-scoped over one session's
-    private renderer, the advice fires only for that user's renders — the
-    audience's other sessions, and the audience's shared renderer, never
-    see this trail.
+    (where *you* have been).  This is the woven form, for in-process
+    rendering; the HTTP front keeps the same trail as session data and
+    splices :func:`breadcrumb_fragment` into the audience's page instead,
+    which produces the same bytes without weaving anything per session.
 
     The trail block is a ``<nav class="breadcrumbs">`` appended after the
     page content (and after whatever audience navigation wrapped it),

@@ -14,7 +14,7 @@ one via ``--painters/--paintings``):
   scripts (or an explicit ``--stack``) and verify every generated
   wrapper template, without deploying anything; the CI lint gate.
 - ``serve`` — serve every audience live over HTTP (threaded WSGI, one
-  instance-scoped stack per audience, one scope tier per session).
+  instance-scoped stack per audience, sessions as plain data).
 """
 
 from __future__ import annotations
@@ -666,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--session-ttl",
         type=float,
         default=600.0,
-        help="seconds of idleness before a session's scope is evicted",
+        help="seconds of idleness before a session is evicted",
     )
     serve.add_argument(
         "--no-cache",

@@ -24,10 +24,21 @@ ClusterFront` on a real TCP port; hundreds of concurrent sessions
    response must carry the original trail — the restart-survival
    contract, end to end through the CLI.
 
+4. **Soak** (``--soak N``, instead of phases 1–3) — one ``serve --asgi``
+   child holds N live sessions (20,000 in CI).  One wave walks every
+   session's plan (home, then its painting); :data:`SOAK_REVISITS` more
+   waves walk the same plans again, so no trail grows.  Gates: zero
+   errors and zero bleed, every session stays live, the weave
+   (deployments, woven sites, scopes, join point pools) stays exactly as
+   it was after a dozen warm-up sessions, and the server's RSS plateaus:
+   it may not grow by more than :data:`SOAK_RSS_GROWTH` from the first
+   revisit wave to the last.
+
 Run under both wrapper tiers in CI::
 
     REPRO_AOP_CODEGEN=1 python -m repro.tools.load_harness --sessions 200
     REPRO_AOP_CODEGEN=0 python -m repro.tools.load_harness --sessions 200
+    python -m repro.tools.load_harness --soak 20000
 
 Exit status 0 on success; failures print the offending evidence and
 exit 1.  ``--json`` emits the measured summary for tooling.
@@ -54,6 +65,14 @@ PAINTINGS = [
     "PaintingNode/elephants.html",
     "PaintingNode/avignon.html",
 ]
+
+#: The soak's RSS plateau bound: growth from the first revisit wave to the
+#: last, as a share of the first.  A revisit walks the pages a session
+#: already holds, so its trail keeps its length and nothing should grow.
+SOAK_RSS_GROWTH = 0.05
+
+#: Waves after the soak's opening wave; the plateau is judged across them.
+SOAK_REVISITS = 2
 
 _BREADCRUMBS = re.compile(r'<nav class="breadcrumbs">(.*?)</nav>', re.DOTALL)
 _BANNER = re.compile(r"http://([\d.]+):(\d+)/")
@@ -463,6 +482,121 @@ def run_sigterm_leg(tmp_snapshot: str) -> None:
     print("load-harness: SIGTERM leg passed (snapshot -> restart -> trail)")
 
 
+def _rss_kib(pid: int) -> int | None:
+    """*pid*'s resident set size (``VmRSS``) in KiB; ``None`` off Linux."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _soak_state(client: Client, pid: int) -> dict:
+    """The server's session count, weave footprint and RSS, right now."""
+    status, _, text = client.get("/-/stats", "soak-admin")
+    _check(status == 200, f"/-/stats returned {status}")
+    stats = json.loads(text)
+    runtime = stats["runtime"]
+    return {
+        "sessions": stats["sessions"]["active"],
+        "weave": {
+            "deployments": runtime["deployments"],
+            "woven_sites": runtime["woven_sites"],
+            "scopes": runtime["scopes"],
+            "pools": runtime["pools"]["count"],
+        },
+        "free_joinpoints": runtime["pools"]["free_joinpoints"],
+        "rss_kib": _rss_kib(pid),
+    }
+
+
+def run_soak(sessions: int) -> dict:
+    """Phase 4: hold *sessions* live sessions and gate on a plateau.
+
+    The server runs with its default session cap and idle timeout, which
+    must admit every session and outlast the run.  Two client threads
+    drive it: with the server, that keeps two cores busy.
+    """
+    plans = [SessionPlan(n) for n in range(sessions)]
+    # The first dozen plans visit every page any plan visits: they fill
+    # the page cache, and the weave they leave is the baseline.
+    warm = plans[: 2 * len(PAINTINGS)]
+    child, base = _spawn_serve(["--asgi"])
+    try:
+        host, port = base.removeprefix("http://").rsplit(":", 1)
+        address = (host, int(port))
+        client = Client(*address)
+        results = Results()
+        _storm(address, warm, results, 2)
+        _check(not results.errors, f"soak warm-up: {results.errors[:1]}")
+        baseline = _soak_state(client, child.pid)
+        rows = []
+        for wave in range(1 + SOAK_REVISITS):
+            results = Results()
+            started = time.perf_counter()
+            _storm(address, plans, results, 2)
+            seconds = time.perf_counter() - started
+            state = _soak_state(client, child.pid)
+            _check(
+                not results.errors,
+                f"soak wave {wave}: {len(results.errors)} error(s); first: "
+                f"{results.errors[0] if results.errors else ''}",
+            )
+            _check(
+                state["sessions"] == sessions,
+                f"soak wave {wave}: {state['sessions']} live sessions, "
+                f"wanted {sessions}",
+            )
+            _check(
+                state["weave"] == baseline["weave"],
+                f"soak wave {wave}: the weave grew with the sessions: "
+                f"{baseline['weave']} -> {state['weave']}",
+            )
+            rss = state["rss_kib"]
+            rows.append(
+                results.summary()
+                | {
+                    "wave": wave,
+                    "seconds": round(seconds, 2),
+                    "rss_mib": round(rss / 1024, 1) if rss is not None else None,
+                    "free_joinpoints": state["free_joinpoints"],
+                }
+            )
+            print(f"load-harness: soak {rows[-1]}", flush=True)
+        client.close()
+    finally:
+        child.send_signal(signal.SIGTERM)
+        try:
+            child.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.communicate(timeout=10)
+    _check(child.returncode == 0, f"soak server exited {child.returncode}")
+
+    summary = {"sessions": sessions, "waves": rows}
+    if baseline["rss_kib"] is not None:
+        first, last = rows[1]["rss_mib"], rows[-1]["rss_mib"]
+        growth = (last - first) / first
+        summary["rss_growth_share"] = round(growth, 4)
+        summary["rss_per_session_bytes"] = round(
+            (rows[0]["rss_mib"] * 1024 - baseline["rss_kib"]) * 1024 / sessions
+        )
+        _check(
+            growth <= SOAK_RSS_GROWTH,
+            f"soak: RSS grew {growth:.1%} over the revisit waves "
+            f"({first} -> {last} MiB; limit {SOAK_RSS_GROWTH:.0%})",
+        )
+    free = [row["free_joinpoints"] for row in rows]
+    _check(
+        max(free[1:], default=0) <= free[0],
+        f"soak: join point pools kept growing after the first wave: {free}",
+    )
+    return summary
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -487,7 +621,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit the summary as JSON"
     )
+    parser.add_argument(
+        "--soak",
+        type=int,
+        default=0,
+        metavar="N",
+        help="instead of the cluster phases, hold N live sessions in one "
+        "server and gate on a memory and weave plateau",
+    )
     options = parser.parse_args(argv)
+    if options.soak:
+        try:
+            summary = run_soak(options.soak)
+        except LoadFailure as failure:
+            print(f"load-harness FAILED: {failure}", file=sys.stderr)
+            return 1
+        if options.json:
+            print(json.dumps(summary, indent=2))
+        print(
+            f"load-harness soak passed: {options.soak} live sessions, "
+            f"{1 + SOAK_REVISITS} waves, weave unchanged, RSS growth "
+            f"{summary.get('rss_growth_share', 'n/a')} over the revisits"
+        )
+        return 0
     if options.sessions < options.workers:
         raise SystemExit("load-harness: need at least one session per worker")
     try:

@@ -188,11 +188,11 @@ def drive(base: str, requests_per_session: int) -> None:
         "reconfiguring the curator changed the visitor's page",
     )
 
-    # Phase 4: the management stats expose the scope hierarchy.
+    # Phase 4: the management stats expose sessions and scopes.
     status, raw = _get(base, "/-/stats")
     _check(status == 200, f"stats returned {status}")
     stats = json.loads(raw)
-    # Four (session, audience) scopes: two sids per audience, reused
+    # Four (session, audience) pairs: two sids per audience, reused
     # across every phase above.
     _check(
         stats["sessions"]["active"] == 4,
@@ -203,9 +203,11 @@ def drive(base: str, requests_per_session: int) -> None:
         runtime["instance_scoped"] == runtime["deployments"],
         "expected every deployment to be instance-scoped",
     )
+    # Sessions weave nothing: one scope per audience, holding its renderer.
+    audiences = len(stats["audiences"])
     _check(
-        runtime["scopes"]["instances"] >= 7,
-        f"scope membership too small: {runtime['scopes']}",
+        runtime["scopes"] == {"count": audiences, "instances": audiences},
+        f"scopes grew past one per audience: {runtime['scopes']}",
     )
 
     # Phase 5: the skeleton cache end to end — warm repeats hit, a

@@ -576,9 +576,8 @@ class TestGeneratedWrapperMetadata:
 class TestMarkerSlotSharing:
     """Scoped marker templates compile once per advice shape, not per scope.
 
-    The marker attribute name is per-scope; session scopes are created per
-    connected user, so a per-scope compile would tax session churn with a
-    parse each.  The template renders a fixed marker slot instead and the
+    The marker attribute name is per-scope, so a per-scope compile would
+    tax every new scope with a parse.  The template renders a fixed marker slot instead and the
     real marker is retargeted into a cheap clone of the compiled code.
     """
 

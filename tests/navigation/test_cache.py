@@ -157,36 +157,26 @@ class TestWeaveEpoch:
             assert server.weave_epoch("curator") > curator_before
             assert server.weave_epoch("visitor") == visitor_before
 
-    def test_session_scoped_deploys_leave_the_cache_warm(self, fixture):
-        """A deploy that never touches the shared renderer keeps the epoch.
+    def test_sessions_leave_the_cache_warm(self, fixture):
+        """Opening and evicting sessions never moves an audience's epoch.
 
-        Every new session deploys its breadcrumb tier into its own
-        scope; if that bumped the audience epoch, each arrival would
-        flush the whole audience cache.
+        If it did, each arrival would flush the whole audience cache.
         """
+        clock = [0.0]
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = NavigationApp(
+                server,
+                ServingConfig(session_idle_timeout=10.0),
+                clock=lambda: clock[0],
+            )
             visitor_before = server.weave_epoch("visitor")
-            with server.session_tier("visitor") as tier:
-                tier.deploy(_trail_aspect())
-                assert server.weave_epoch("visitor") == visitor_before
-
-    def test_shared_renderer_in_scope_bumps_the_audience(self, fixture):
-        from repro.aop import InstanceScope
-
-        with AudienceServer(fixture, VISITOR_CURATOR) as server:
-            curator_before = server.weave_epoch("curator")
-            visitor_before = server.weave_epoch("visitor")
-            with server.session_tier("visitor") as tier:
-                scope = InstanceScope([tier.renderer, server.renderer("visitor")])
-                tier.deploy(_trail_aspect(), instances=scope)
-                assert server.weave_epoch("visitor") > visitor_before
-                assert server.weave_epoch("curator") == curator_before
-
-
-def _trail_aspect():
-    from repro.navigation import BreadcrumbAspect
-
-    return BreadcrumbAspect(limit=4)
+            for n in range(50):
+                clock[0] = float(n)
+                assert call(app, f"/visitor/{GUITAR}", sid=f"s{n}")[0] == 200
+            assert app.stats()["sessions"]["evicted_total"] > 0
+            assert server.weave_epoch("visitor") == visitor_before
+            assert server.page_cache("visitor").stats()["hits"] == 49
+            app.close()
 
 
 class TestCachedServing:
@@ -232,10 +222,69 @@ class TestCachedServing:
             call(app, f"/visitor/{GUITAR}", sid="a")
             _, h, _ = call(app, f"/visitor/{GUITAR}", sid="a", bypass=True)
             assert h["X-Repro-Cache"] == "bypass"
-            # The bypass render went through the session renderer and
-            # never touched the cache counters.
+            # The bypass render never touched the cache counters.
             assert server.page_cache("visitor").stats()["hits"] == 0
             app.close()
+
+    def test_every_outcome_serves_identical_bytes(self, fixture):
+        """hit, miss, bypass and off assemble a page the same way."""
+        walk = ["index.html", "PaintingNode/guernica.html", GUITAR, GUITAR]
+        pages = {}
+        for enabled in (True, False):
+            config = ServingConfig(cache_enabled=enabled)
+            with AudienceServer(fixture, VISITOR_CURATOR, config=config) as server:
+                app = NavigationApp(server)
+                for bypass in (False, True) if enabled else (False,):
+                    outcomes, bodies = [], []
+                    for page in walk:
+                        _, h, body = call(
+                            app, f"/visitor/{page}", sid=f"{bypass}", bypass=bypass
+                        )
+                        outcomes.append(h["X-Repro-Cache"])
+                        bodies.append(body)
+                    pages[tuple(outcomes)] = bodies
+                app.close()
+        assert set(pages) == {
+            ("miss", "miss", "miss", "hit"),
+            ("bypass",) * 4,
+            ("off",) * 4,
+        }
+        first, *rest = pages.values()
+        assert all(bodies == first for bodies in rest)
+        assert 'class="breadcrumbs"' in first[2]
+
+    def test_spliced_trail_matches_the_woven_breadcrumb_aspect(self, fixture):
+        """The served page equals the paper's woven form of the same walk.
+
+        Serving splices the trail; weaving :class:`BreadcrumbAspect` over
+        the audience's navigation appends it to the rendered tree.  Both
+        must produce the same page.
+        """
+        from repro.core import NavigationAspect, PageRenderer, default_museum_spec
+        from repro.navigation import BreadcrumbAspect
+
+        walk = ["index.html", "PaintingNode/guernica.html", GUITAR]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = NavigationApp(server)
+            served = [call(app, f"/visitor/{page}", sid="a")[2] for page in walk]
+            app.close()
+
+        runtime = WeaverRuntime("woven-trail")
+        aspects = [
+            NavigationAspect(default_museum_spec(access), fixture)
+            for access in ("index", "guided-tour")
+        ] + [BreadcrumbAspect()]
+        handles = [runtime.weave(PageRenderer, aspect) for aspect in aspects]
+        try:
+            renderer = PageRenderer(fixture)
+            woven = [renderer.render_home()] + [
+                renderer.render_node(fixture.painting_node(painting))
+                for painting in ("guernica", "guitar")
+            ]
+        finally:
+            for handle in reversed(handles):
+                handle.undeploy()
+        assert served == [compose_page(*page.skeleton_html()) for page in woven]
 
     def test_reconfigure_invalidates_exactly_that_audience(self, fixture):
         with AudienceServer(fixture, VISITOR_CURATOR) as server:

@@ -1,10 +1,9 @@
 """ServingConfig, the SessionTier handle, and the deprecation shims.
 
-The api_redesign satellite suite: the typed config surface's validation
-and env interaction, the :class:`SessionTier` lifecycle that replaces
-the four-call adopt/deploy/undeploy/release dance, and the
-``DeprecationWarning`` shims that keep every pre-redesign call site
-running while it migrates.
+The typed config surface's validation and env interaction, the
+:class:`SessionTier` lifecycle (a session is plain data and weaves
+nothing), and the ``DeprecationWarning`` shims that keep every
+pre-redesign keyword call site running while it migrates.
 """
 
 import pytest
@@ -79,16 +78,18 @@ class TestServingConfig:
 class TestSessionTier:
     def test_context_manager_unwinds_everything(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
-            with server.session_tier("visitor") as tier:
+            deployments = len(server.runtime.deployments)
+            epoch = server.weave_epoch("visitor")
+            with server.session_tier("visitor", "alice", limit=4) as tier:
                 assert isinstance(tier, SessionTier)
-                aspect = BreadcrumbAspect(limit=4)
-                tier.deploy(aspect)
-                assert tier.aspects() == [aspect]
-                assert tier.renderer in server.scope("visitor")
-                assert tier.renderer in tier.scope
-            # Closed: deployment unwound, renderer released.
-            assert tier.aspects() == []
-            assert tier.renderer not in server.scope("visitor")
+                assert (tier.sid, tier.audience) == ("alice", "visitor")
+                tier.trail.record("index.html", "Home")
+                assert tier.snapshot().trail == (("index.html", "Home"),)
+                # Nothing woven, nothing scoped, no epoch moved.
+                assert len(server.runtime.deployments) == deployments
+                assert len(server.scope("visitor")) == 1
+                assert server.weave_epoch("visitor") == epoch
+            assert len(tier.trail) == 0
 
     def test_close_is_idempotent_and_blocks_deploys(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
@@ -97,33 +98,8 @@ class TestSessionTier:
             tier.close()
             with pytest.raises(NavigationError):
                 tier.deploy(BreadcrumbAspect(limit=4))
-
-    def test_undeploy_unwinds_one_aspect_early(self, fixture):
-        with AudienceServer(fixture, VISITOR) as server:
-            with server.session_tier("visitor") as tier:
-                first = BreadcrumbAspect(limit=4)
-                second = BreadcrumbAspect(limit=2)
-                tier.deploy(first)
-                tier.deploy(second)
-                tier.undeploy(first)
-                assert tier.aspects() == [second]
-
-    def test_tier_scoped_aspect_only_advises_this_session(self, fixture):
-        with AudienceServer(fixture, VISITOR) as server:
-            with (
-                server.session_tier("visitor") as mine,
-                server.session_tier("visitor") as theirs,
-            ):
-                mine.deploy(BreadcrumbAspect(limit=4))
-                # The second page carries the trail (the first had no
-                # history — ``record`` returns the *prior* crumbs).
-                node = next(iter(mine.renderer.node_inventory()))
-                mine.renderer.render_home()
-                mine_html = mine.renderer.render_node(node).html()
-                theirs.renderer.render_home()
-                theirs_html = theirs.renderer.render_node(node).html()
-                assert 'class="breadcrumbs"' in mine_html
-                assert 'class="breadcrumbs"' not in theirs_html
+            with pytest.raises(NavigationError):
+                server.session_tier("stranger")
 
 
 class TestDeprecationShims:
@@ -145,16 +121,3 @@ class TestDeprecationShims:
             with pytest.warns(DeprecationWarning, match="session_idle_timeout"):
                 app = NavigationApp(server, session_idle_timeout=5.0)
             app.close()
-
-    def test_old_scope_methods_delegate_with_warnings(self, fixture):
-        with AudienceServer(fixture, VISITOR) as server:
-            with pytest.warns(DeprecationWarning, match="adopt_renderer"):
-                renderer = server.adopt_renderer("visitor")
-            aspect = BreadcrumbAspect(limit=4)
-            with pytest.warns(DeprecationWarning, match="deploy_scoped"):
-                server.deploy_scoped(aspect, [renderer], audience="visitor")
-            with pytest.warns(DeprecationWarning, match="undeploy_scoped"):
-                server.undeploy_scoped(aspect)
-            with pytest.warns(DeprecationWarning, match="release_renderer"):
-                server.release_renderer("visitor", renderer)
-            assert renderer not in server.scope("visitor")

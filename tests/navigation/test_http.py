@@ -1,14 +1,12 @@
-"""The HTTP serving front and its per-session scope tier.
+"""The HTTP serving front and its sessions.
 
 Covers the acceptance bar for serving: routing over
 :class:`NavigationApp` (audiences, pages, management endpoints), cookie /
-header session identity, the two-level scope hierarchy (a session's
-renderer rides the audience scope while its breadcrumb trail weaves in a
-private session scope), idle-timeout eviction that releases marker state,
-live ``reconfigure`` through the management surface, and — the
+header session identity, sessions as plain data (one instance scope per
+audience, nothing woven per session), idle-timeout eviction in last-seen
+order, live ``reconfigure`` through the management surface, and — the
 concurrency suite — N threads with one session each interleaved with a
-mid-flight reconfigure, asserting per-session breadcrumb isolation and
-marker-default release after eviction.
+mid-flight reconfigure, asserting per-session breadcrumb isolation.
 """
 
 import io
@@ -25,7 +23,6 @@ from repro.core import PageRenderer
 from repro.navigation import (
     AudienceBundle,
     AudienceServer,
-    BreadcrumbAspect,
     BreadcrumbTrail,
     NavigationApp,
     NavigationError,
@@ -57,7 +54,9 @@ def served(fixture):
             app.close()
 
 
-def call(app, path, *, method="GET", sid=None, cookie=None, body=None):
+def call(
+    app, path, *, method="GET", sid=None, cookie=None, body=None, bypass=False
+):
     """Drive the WSGI callable directly; returns (status, headers, text)."""
     payload = body.encode() if isinstance(body, str) else (body or b"")
     environ = {
@@ -70,6 +69,8 @@ def call(app, path, *, method="GET", sid=None, cookie=None, body=None):
         environ["HTTP_X_REPRO_SESSION"] = sid
     if cookie is not None:
         environ["HTTP_COOKIE"] = cookie
+    if bypass:
+        environ["HTTP_X_REPRO_CACHE"] = "bypass"
     captured = {}
 
     def start_response(status, headers):
@@ -161,24 +162,26 @@ class TestSessions:
         call(app, "/curator/index.html", sid="alice")
         sessions = app.sessions()
         assert {s.audience for s in sessions} == {"visitor", "curator"}
-        assert len({id(s.renderer) for s in sessions}) == 2
+        assert len({id(s.trail) for s in sessions}) == 2
 
-    def test_session_renderers_join_the_audience_scope(self, served):
+    def test_sessions_weave_nothing(self, served):
         server, app = served
-        assert len(server.scope("visitor")) == 1  # the audience renderer
-        call(app, "/visitor/index.html", sid="alice")
-        call(app, "/visitor/index.html", sid="bob")
-        assert len(server.scope("visitor")) == 3
-        stats = server.runtime.stats()
-        # Audience scopes (one per audience, shared by each stack) plus
-        # one session scope per live session.
-        assert stats["scopes"]["count"] == len(VISITOR_CURATOR) + 2
-        assert stats["instance_scoped"] == stats["deployments"]
+        before = server.runtime.stats()
+        for sid in ("alice", "bob", "carol"):
+            call(app, "/visitor/index.html", sid=sid, bypass=True)
+        after = server.runtime.stats()
+        # One scope per audience holding its one renderer, whatever the
+        # number of sessions; no deployment or join point pool added.
+        assert len(server.scope("visitor")) == 1
+        assert after["scopes"] == {"count": len(VISITOR_CURATOR), "instances": 2}
+        for key in ("deployments", "woven_sites", "weave_epoch"):
+            assert after[key] == before[key]
+        assert after["pools"]["count"] == before["pools"]["count"]
 
 
 class TestSessionCosts:
     def test_404s_do_not_open_sessions(self, served):
-        """A request that will 404 must not cost a renderer + deployment."""
+        """A request that will 404 must not open a session."""
         _, app = served
         assert call(app, "/visitor/ghost.html", sid="nobody")[0] == 404
         assert call(app, "/visitor/rooms%2Fnope.html")[0] == 404
@@ -195,6 +198,18 @@ class TestSessionCosts:
             assert call(app, "/visitor/index.html", sid="a")[0] == 200
             assert len(app.sessions()) == 2
             app.close()
+
+    def test_thousands_of_sessions_leave_every_render_path_intact(self, served):
+        """Past the old ~1000-session ``RecursionError`` ceiling."""
+        server, app = served
+        deployments = len(server.runtime.deployments)
+        for n in range(1500):
+            assert call(app, "/visitor/index.html", sid=f"s{n}")[0] == 200
+        status, headers, text = call(app, f"/visitor/{GUITAR}", sid="s7", bypass=True)
+        assert status == 200 and headers["X-Repro-Cache"] == "bypass"
+        assert 'rel="breadcrumb"' in text and 'rel="next"' in text
+        assert len(app.sessions()) == 1500
+        assert len(server.runtime.deployments) == deployments
 
     def test_cap_admits_again_after_idle_eviction(self, fixture):
         clock = [0.0]
@@ -215,32 +230,48 @@ class TestSessionCosts:
 class TestEviction:
     def test_idle_sessions_are_evicted_and_marker_state_released(self, fixture):
         clock = [0.0]
+
+        def markers():
+            return {name for name in vars(PageRenderer) if "_aop_scope_" in name}
+
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             app = NavigationApp(
-                server, session_idle_timeout=100.0, clock=lambda: clock[0]
+                server,
+                ServingConfig(session_idle_timeout=100.0),
+                clock=lambda: clock[0],
             )
+            audience_markers = markers()
             call(app, f"/visitor/{GUITAR}", sid="alice")
-            (session,) = app.sessions()
-            marker = session.scope.attr
-            renderer = session.renderer
-            # Codegen tier: the session scope's marker default is live on
-            # the class and its stamp on the instance (the generic tier
-            # dispatches on ids and never stamps).
-            if codegen.codegen_enabled():
-                assert hasattr(PageRenderer, marker)
-                assert marker in vars(renderer)
+            clock[0] = 60.0
+            call(app, f"/visitor/{GUITAR}", sid="bob")
+            # A session stamps no marker state of its own.
+            assert markers() == audience_markers
             clock[0] = 101.0
             assert app.evict_idle() == 1
+            assert [s.sid for s in app.sessions()] == ["bob"]
+            clock[0] = 161.0
+            assert app.evict_idle() == 1
             assert app.sessions() == []
-            # Marker default gone from the class, stamp gone from the
-            # instance, renderer out of the audience scope.
-            assert not hasattr(PageRenderer, marker)
-            assert marker not in vars(renderer)
-            assert renderer not in server.scope("visitor")
+            assert markers() == audience_markers
             assert len(server.scope("visitor")) == 1
-            # The evicted renderer is back to plain rendering.
-            node = fixture.painting_node("guitar")
-            assert "<nav>" not in renderer.render_node(node).html()
+            app.close()
+
+    def test_eviction_follows_last_seen_order(self, fixture):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = NavigationApp(
+                server,
+                ServingConfig(session_idle_timeout=10.0),
+                clock=lambda: clock[0],
+            )
+            for t, sid in enumerate(("a", "b", "c")):
+                clock[0] = float(t)
+                call(app, "/visitor/index.html", sid=sid)
+            clock[0] = 5.0
+            call(app, "/visitor/index.html", sid="a")  # a is young again
+            clock[0] = 12.5
+            assert app.evict_idle() == 2  # b (seen at 1) and c (at 2)
+            assert [s.sid for s in app.sessions()] == ["a"]
             app.close()
 
     def test_requests_evict_opportunistically_and_reopen_fresh(self, fixture):
@@ -277,7 +308,7 @@ class TestManagementSurface:
             "index",
             "guided-tour",
         ]
-        assert stats["audiences"]["visitor"]["scope_instances"] == 2
+        assert stats["audiences"]["visitor"]["scope_instances"] == 1
         assert stats["sessions"]["active"] == 1
         assert stats["sessions"]["by_audience"] == {"visitor": 1}
         runtime = stats["runtime"]
@@ -288,7 +319,7 @@ class TestManagementSurface:
             assert runtime["pools"]["count"] >= 1
         else:
             assert runtime["pools"]["count"] >= 0
-        assert runtime["scopes"]["instances"] >= 3
+        assert runtime["scopes"] == {"count": 2, "instances": 2}
 
     def test_reconfigure_changes_only_the_target_audience(self, served):
         _, app = served
@@ -327,7 +358,7 @@ class TestManagementSurface:
             body="index,guided-tour",
         )
         _, _, after = call(app, f"/visitor/{GUITAR}", sid="alice")
-        assert block_order(after), "reconfigure inverted the scope tiers"
+        assert block_order(after), "reconfigure moved the trail above the nav"
         # A session opened after the reconfigure renders the same order.
         call(app, "/visitor/index.html", sid="carol")
         _, _, fresh = call(app, f"/visitor/{GUITAR}", sid="carol")
@@ -336,10 +367,17 @@ class TestManagementSurface:
     def test_reconfigure_restacks_only_the_target_audiences_sessions(
         self, served, monkeypatch
     ):
-        """Other audiences' session aspects are not explicitly re-added."""
+        """A reconfigure weaves the new stack and nothing per session.
+
+        Sessions hold no weave state, so the target audience's sessions
+        see the new stack through the shared renderer and the work does
+        not grow with the number of live sessions.
+        """
         server, app = served
-        call(app, "/visitor/index.html", sid="alice")
-        call(app, "/curator/index.html", sid="bob")
+        for n in range(20):
+            call(app, "/visitor/index.html", sid=f"v{n}")
+            call(app, "/curator/index.html", sid=f"c{n}")
+        _, _, visitor_before = call(app, f"/visitor/{GUITAR}", sid="v0")
         added = []
         real_add = server._tx._add
 
@@ -349,25 +387,12 @@ class TestManagementSurface:
 
         monkeypatch.setattr(server._tx, "_add", counting_add)
         server.reconfigure("curator", ("indexed-guided-tour",))
-        # One NavigationAspect for the new stack + exactly one breadcrumb
-        # re-stack (bob's); alice's visitor session is never re-added.
-        assert added.count("BreadcrumbAspect") == 1
-
-    def test_deploy_scoped_resolves_one_shot_iterables_once(self, served):
-        """A generator argument must not yield an empty scope later."""
-        server, app = served
-        renderer = server.adopt_renderer("visitor")
-        aspect = BreadcrumbAspect()
-        deployment = server.deploy_scoped(
-            aspect, (r for r in [renderer]), audience="visitor"
-        )
-        assert deployment.scope is not None and len(deployment.scope) == 1
-        server.reconfigure("visitor", ("index",))
-        (live,) = [d for d in server.runtime.deployments if d.aspect is aspect]
-        # The re-woven deployment rides the same resolved scope object.
-        assert live.scope is deployment.scope and len(live.scope) == 1
-        server.undeploy_scoped(aspect)
-        server.release_renderer("visitor", renderer)
+        assert added == ["NavigationAspect"]
+        _, _, curator = call(app, f"/curator/{GUITAR}", sid="c0")
+        assert 'rel="next"' in curator
+        call(app, "/visitor/index.html", sid="v0")
+        _, _, visitor_after = call(app, f"/visitor/{GUITAR}", sid="v0")
+        assert visitor_after == visitor_before
 
     def test_reconfigure_accepts_json_bodies(self, served):
         _, app = served
@@ -449,7 +474,7 @@ class TestSessionScopeConcurrency:
             sessions = {s.sid: s for s in app.sessions()}
             assert len(sessions) == len(paintings)
             for i, own_page in enumerate(paintings):
-                trail = sessions[f"user{i}"].breadcrumbs.trail.paths()
+                trail = sessions[f"user{i}"].trail.paths()
                 others = set(paintings) - {own_page}
                 assert not (set(trail) & others), (i, trail)
                 assert set(trail) <= {"index.html", own_page}
@@ -461,16 +486,10 @@ class TestSessionScopeConcurrency:
             _, _, visitor = call(app, "/visitor/PaintingNode/guitar.html", sid="user0")
             assert 'rel="next"' in visitor and "breadcrumbs" in visitor
 
-            # Evict everyone: every session marker default is released.
-            markers = [s.scope.attr for s in app.sessions()]
-            renderers = [s.renderer for s in app.sessions()]
+            # Evict everyone: the weave is exactly the audiences' stacks.
             app.close()
-            for marker in markers:
-                assert not hasattr(PageRenderer, marker)
-            for renderer in renderers:
-                # No stray scope stamps left on the evicted instances.
-                stamps = [k for k in vars(renderer) if k.startswith("_aop_scope_")]
-                assert stamps == []
+            assert app.sessions() == []
+            assert len(server.runtime.deployments) == 3
             assert len(server.scope("visitor")) == 1
             assert len(server.scope("curator")) == 1
         assert not hasattr(PageRenderer.render_node, "__woven__")
