@@ -6,12 +6,14 @@ routing, sessions, cache semantics, management endpoints —
 under a single event loop:
 
 - :class:`AsgiNavigationApp` adapts a :class:`~repro.navigation.http.\
-NavigationApp` to the ASGI 3 calling convention.  The render path is
+NavigationApp` to the ASGI 3 calling convention.  The app is
   synchronous by design (instance-scope dispatch, join point pools and
-  the session locks are all thread-based), so each request's
-  :meth:`~repro.navigation.http.NavigationApp.respond` runs on the
-  loop's worker-thread executor; the event loop itself only parses,
-  schedules and writes.  Both fronts call the *same* ``respond``, so
+  the session locks are all thread-based).  A page whose skeleton is
+  already cached costs tens of microseconds, less than the hop to a
+  thread, so its :meth:`~repro.navigation.http.NavigationApp.respond`
+  runs inline on the event loop; misses and management calls, which
+  render or weave for a millisecond or more, run on the loop's
+  worker-thread executor.  Both fronts call the *same* ``respond``, so
   they cannot drift apart — a WSGI response and an ASGI response to the
   same request are byte-identical.
 - :class:`AsgiHttpServer` binds any ASGI callable under a hand-rolled
@@ -62,7 +64,9 @@ def build_environ(scope: "dict[str, Any]", body: bytes) -> "dict[str, Any]":
     what a WSGI server would hand over.  ``raw_path`` is preferred when
     the scope carries it: the app's own URI normalization handles
     percent-encoding, and decoding ``%2F`` early would corrupt page
-    paths the way it would under any other server.
+    paths the way it would under any other server.  Repeated headers
+    fold into one key with ``,``, except ``Cookie``, which folds with
+    ``; `` as RFC 6265 requires.
     """
     raw_path = scope.get("raw_path")
     if raw_path:
@@ -88,7 +92,10 @@ def build_environ(scope: "dict[str, Any]", body: bytes) -> "dict[str, Any]":
         else:
             http_key = f"HTTP_{key}"
             if http_key in environ:
-                environ[http_key] += f",{text}"
+                # Cookie lines fold with "; " (RFC 6265 §5.4): a ","
+                # would glue two cookies into one value.
+                joiner = "; " if key == "COOKIE" else ","
+                environ[http_key] += f"{joiner}{text}"
             else:
                 environ[http_key] = text
     client = scope.get("client")
@@ -122,10 +129,17 @@ class AsgiNavigationApp:
 
     HTTP requests are translated to WSGI-shaped environs and answered by
     the wrapped app's :meth:`~repro.navigation.http.NavigationApp.\
-respond` on the event loop's default thread-pool executor — renders
-    stay genuinely concurrent (they are lock-free in the serving layer)
-    while the loop never blocks on one.  Lifespan scopes are
-    acknowledged so the adapter also runs under standard ASGI servers.
+respond`.  Where it runs is decided per request by
+    :meth:`~repro.navigation.http.NavigationApp.would_hit_cache`: a
+    ``GET`` page whose skeleton is cached is answered inline on the
+    event loop, everything else (misses, ``X-Repro-Cache: bypass``, the
+    cache-off tier, 404s and every ``/-/`` route) on the loop's default
+    thread-pool executor — renders stay genuinely concurrent (they are
+    lock-free in the serving layer) while the loop never blocks on one.
+    If a reconfigure lands between the check and ``respond``, the inline
+    request renders the new stack once on the loop: late, never wrong.
+    Lifespan scopes are acknowledged so the adapter also runs under
+    standard ASGI servers.
     """
 
     def __init__(self, app: NavigationApp):
@@ -147,10 +161,13 @@ respond` on the event loop's default thread-pool executor — renders
             )
         body = await _drain_body(receive)
         environ = build_environ(scope, body)
-        loop = asyncio.get_running_loop()
-        status, headers, payload = await loop.run_in_executor(
-            None, self._app.respond, environ
-        )
+        if self._app.would_hit_cache(environ):
+            status, headers, payload = self._app.respond(environ)
+        else:
+            loop = asyncio.get_running_loop()
+            status, headers, payload = await loop.run_in_executor(
+                None, self._app.respond, environ
+            )
         await send(
             {
                 "type": "http.response.start",

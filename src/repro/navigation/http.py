@@ -237,8 +237,9 @@ class NavigationApp:
         ``(status, headers, body)`` triple with the routing errors already
         mapped to their HTTP statuses.  Both fronts route through here —
         :meth:`__call__` adds the WSGI calling convention on top, and the
-        ASGI front (:mod:`repro.navigation.asgi`) runs it on a worker
-        thread under its event loop — so the two cannot drift apart.
+        ASGI front (:mod:`repro.navigation.asgi`) runs it on its event
+        loop for cache hits and on a worker thread for everything else —
+        so the two cannot drift apart.
         """
         try:
             return self._route(environ)
@@ -252,6 +253,35 @@ class NavigationApp:
             )
             headers.append(("Allow", exc.allowed))
             return status, headers, body
+
+    def would_hit_cache(self, environ) -> bool:
+        """Whether :meth:`respond` would serve *environ* from the page cache.
+
+        True for a ``GET`` page whose skeleton is cached under its
+        audience's current weave epoch.  Free of side effects: it counts
+        no hit or miss, leaves the LRU order alone and opens no session.
+        The answer can go stale at once (a reconfigure may land next), so
+        it only decides where a request runs; :meth:`respond` checks
+        everything again and serves the correct page either way.
+        """
+        path = environ.get("PATH_INFO", "/") or "/"
+        if (
+            environ.get("REQUEST_METHOD", "GET") != "GET"
+            or path.startswith("/-/")
+            or _wants_bypass(environ)
+        ):
+            return False
+        audience, _, page_uri = path.lstrip("/").partition("/")
+        if audience not in self._server.audiences():
+            return False
+        cache = self._server.page_cache(audience)
+        if cache is None:
+            return False
+        try:
+            normalized, _ = resolve_page_target(self._nodes, page_uri)
+        except NavigationError:
+            return False
+        return (normalized, self._server.weave_epoch(audience)) in cache
 
     def _route(self, environ) -> tuple[str, list[tuple[str, str]], bytes]:
         method = environ.get("REQUEST_METHOD", "GET")
@@ -312,7 +342,7 @@ class NavigationApp:
         # will 404 must not open one.
         normalized, node = resolve_page_target(self._nodes, page_uri)
         session, minted = self._session_for(environ, audience)
-        bypass = environ.get(CACHE_HEADER, "").strip().lower() == "bypass"
+        bypass = _wants_bypass(environ)
         cache = None if bypass else self._server.page_cache(audience)
         if cache is None:
             outcome = "bypass" if bypass else "off"
@@ -563,6 +593,10 @@ class NavigationApp:
 def _require_method(method: str, expected: str) -> None:
     if method != expected:
         raise _MethodNotAllowed(method, expected)
+
+
+def _wants_bypass(environ) -> bool:
+    return environ.get(CACHE_HEADER, "").strip().lower() == "bypass"
 
 
 def _cookie_sid(environ) -> str | None:

@@ -16,6 +16,7 @@ audience from one live process each see only their own footsteps.
 
 from __future__ import annotations
 
+import functools
 import json
 import posixpath
 import threading
@@ -27,6 +28,8 @@ from repro.hypermedia.access import Anchor
 from repro.hypermedia.context import NavigationalContext
 from repro.hypermedia.nodes import Node
 from repro.hypermedia.schema import NavigationalSchema
+from repro.web.html import TRAIL_NAV_CLASS
+from repro.xmlcore.serializer import escape_attribute, escape_text
 
 from .errors import NavigationError
 from .history import History
@@ -236,11 +239,11 @@ class BreadcrumbTrail:
 def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
     """The trail ``<nav>`` for a page at *path*, given prior *crumbs*.
 
-    ``None`` when there is nothing to show (first visit).  One builder for
-    both trail producers — :class:`BreadcrumbAspect` appends the element
-    into the rendered tree, while the serving layer serializes it
-    standalone as the per-request fragment — so the two can never drift
-    apart.
+    ``None`` when there is nothing to show (first visit).  The DOM form:
+    :class:`BreadcrumbAspect` appends it into the rendered tree.  The
+    serving layer emits the same block as a string with
+    :func:`breadcrumb_fragment`; a byte-parity property test pins the two
+    together, with this builder as the reference.
     """
     if not crumbs:
         return None
@@ -259,20 +262,38 @@ def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
     return build("nav", {"class": TRAIL_NAV_CLASS}, anchor_list(anchors))
 
 
-def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:
-    """:func:`breadcrumb_nav` serialized compactly (``""`` when empty).
+@functools.lru_cache(maxsize=4096)
+def _crumb_href(crumb_path: str, directory: str) -> str:
+    """The escaped ``href`` of a crumb seen from a page in *directory*.
 
-    Exactly the fragment :meth:`~repro.web.html.HtmlPage.skeleton_html`
-    lifts out of a rendered page, so skeleton-plus-fragment assembly
-    produces the same bytes whether the fragment came from a live render
-    or straight from the session's trail.
+    Pure despite ``relpath`` reading the working directory: both
+    arguments are site-relative, so the cwd cancels out.  Bounded, since
+    a large site has as many keys as (page, directory) pairs.
     """
-    nav = breadcrumb_nav(crumbs, path)
-    if nav is None:
-        return ""
-    from repro.xmlcore import serialize
+    return escape_attribute(posixpath.relpath(crumb_path, directory))
 
-    return serialize(nav)
+
+def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:
+    """The trail block for a page at *path* as markup (``""`` when empty).
+
+    Byte for byte ``serialize(breadcrumb_nav(crumbs, path))``, written
+    straight from the crumbs with the serializer's own escapes: this runs
+    on every served page, and the DOM round trip cost more than the rest
+    of a cache hit.  It is exactly the fragment
+    :meth:`~repro.web.html.HtmlPage.skeleton_html` lifts out of a rendered
+    page, so skeleton-plus-fragment assembly produces the same bytes
+    whether the fragment came from a live render or from the session's
+    trail.
+    """
+    if not crumbs:
+        return ""
+    directory = posixpath.dirname(path) or "."
+    items = "".join(
+        f'<li><a href="{_crumb_href(crumb_path, directory)}" '
+        f'rel="breadcrumb">{escape_text(title)}</a></li>'
+        for crumb_path, title in crumbs
+    )
+    return f'<nav class="{TRAIL_NAV_CLASS}"><ul>{items}</ul></nav>'
 
 
 class BreadcrumbAspect(Aspect):

@@ -80,9 +80,9 @@ def compose_page(skeleton: str, fragment: str) -> str:
 
     The inverse of :meth:`HtmlPage.skeleton_html`: the skeleton's
     :data:`TRAIL_SLOT` is replaced by the fragment (or removed when the
-    request has no trail to show).  Plain string surgery — this is the
-    serving hot path's entire per-request serialization cost on a cache
-    hit.
+    request has no trail to show).  Plain string surgery; together with
+    :func:`~repro.navigation.session.breadcrumb_fragment`, which writes
+    the fragment as a string, it is all the markup a cache hit produces.
     """
     return skeleton.replace(TRAIL_SLOT, fragment, 1)
 

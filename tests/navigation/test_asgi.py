@@ -25,6 +25,7 @@ from repro.navigation import (
     AudienceBundle,
     AudienceServer,
     NavigationApp,
+    ServingConfig,
 )
 from repro.navigation.asgi import build_environ
 
@@ -51,7 +52,7 @@ def served(fixture):
             app.close()
 
 
-def wsgi_call(app, path, *, method="GET", sid=None, body=None):
+def wsgi_call(app, path, *, method="GET", sid=None, body=None, headers=()):
     payload = body.encode() if isinstance(body, str) else (body or b"")
     environ = {
         "REQUEST_METHOD": method,
@@ -61,6 +62,8 @@ def wsgi_call(app, path, *, method="GET", sid=None, body=None):
     }
     if sid is not None:
         environ["HTTP_X_REPRO_SESSION"] = sid
+    for name, value in headers:
+        environ["HTTP_" + name.upper().replace("-", "_")] = value
     captured = {}
 
     def start_response(status, headers):
@@ -75,10 +78,11 @@ def wsgi_call(app, path, *, method="GET", sid=None, body=None):
     )
 
 
-def asgi_call(asgi_app, path, *, method="GET", sid=None, body=None):
+def asgi_call(asgi_app, path, *, method="GET", sid=None, body=None, headers=()):
     """Drive the ASGI callable directly on a private event loop."""
     payload = body.encode() if isinstance(body, str) else (body or b"")
-    headers = [(b"host", b"testserver")]
+    extra = [(name.encode(), value.encode()) for name, value in headers]
+    headers = [(b"host", b"testserver"), *extra]
     if sid is not None:
         headers.append((b"x-repro-session", sid.encode()))
     if payload:
@@ -237,6 +241,165 @@ class TestBuildEnviron:
         assert environ["CONTENT_TYPE"] == "text/plain"
         assert environ["CONTENT_LENGTH"] == "2"
         assert environ["wsgi.input"].read() == b"hi"
+
+    def test_cookie_lines_fold_with_semicolons(self, served):
+        """Two ``Cookie`` lines must not glue into one cookie value."""
+        _, app = served
+        cookies = [("cookie", "theme=dark"), ("cookie", "repro_session=s1-abc")]
+        environ = build_environ(
+            {
+                "method": "GET",
+                "path": "/",
+                "headers": [(n.encode(), v.encode()) for n, v in cookies],
+            },
+            b"",
+        )
+        assert environ["HTTP_COOKIE"] == "theme=dark; repro_session=s1-abc"
+        asgi_app = AsgiNavigationApp(app)
+        for page in ("index.html", GUITAR):
+            status, headers, _ = asgi_call(
+                asgi_app, f"/visitor/{page}", headers=cookies
+            )
+            assert status == 200
+            assert headers["X-Repro-Session"] == "s1-abc"
+            assert "Set-Cookie" not in headers
+        assert [session.sid for session in app.sessions()] == ["s1-abc"]
+
+
+class TestInlineHits:
+    """Cache hits run on the event loop; everything else on the executor."""
+
+    @staticmethod
+    def record_threads(app, monkeypatch):
+        """Thread ids ``respond`` ran on, one per request."""
+        threads = []
+        respond = app.respond
+
+        def recording(environ):
+            threads.append(threading.get_ident())
+            return respond(environ)
+
+        monkeypatch.setattr(app, "respond", recording)
+        return threads
+
+    def test_warm_hit_runs_on_the_loop_and_the_rest_on_the_executor(
+        self, served, monkeypatch
+    ):
+        _, app = served
+        asgi_app = AsgiNavigationApp(app)
+        threads = self.record_threads(app, monkeypatch)
+        loop_thread = threading.get_ident()
+        page = f"/visitor/{GUITAR}"
+        calls = [
+            (page, {}, "miss", False),
+            (page, {}, "hit", True),
+            (page, {"headers": [("X-Repro-Cache", "bypass")]}, "bypass", False),
+            ("/visitor/ghost.html", {}, None, False),
+            ("/stranger/index.html", {}, None, False),
+            ("/-/stats", {}, None, False),
+            (
+                "/-/reconfigure/curator",
+                {"method": "POST", "body": "indexed-guided-tour"},
+                None,
+                False,
+            ),
+        ]
+        for path, kwargs, outcome, inline in calls:
+            _, headers, _ = asgi_call(asgi_app, path, sid="alice", **kwargs)
+            assert headers.get("X-Repro-Cache") == outcome, path
+            assert (threads[-1] == loop_thread) is inline, (path, outcome)
+        assert len(threads) == len(calls)
+
+    def test_cache_off_runs_on_the_executor(self, fixture, monkeypatch):
+        config = ServingConfig(cache_enabled=False)
+        with AudienceServer(fixture, VISITOR_CURATOR, config=config) as server:
+            app = NavigationApp(server)
+            try:
+                threads = self.record_threads(app, monkeypatch)
+                asgi_app = AsgiNavigationApp(app)
+                for _ in range(2):
+                    _, headers, _ = asgi_call(
+                        asgi_app, f"/visitor/{GUITAR}", sid="alice"
+                    )
+                    assert headers["X-Repro-Cache"] == "off"
+                    assert threads[-1] != threading.get_ident()
+            finally:
+                app.close()
+
+    def test_inline_and_executor_responses_are_byte_identical(
+        self, served, monkeypatch
+    ):
+        _, app = served
+        asgi_app = AsgiNavigationApp(app)
+        walk = ["index.html", GUITAR, "PainterNode/picasso.html", GUITAR]
+        for page in walk:
+            wsgi_call(app, f"/visitor/{page}", sid="warm")
+        inline = [asgi_call(asgi_app, f"/visitor/{p}", sid="alice") for p in walk]
+        monkeypatch.setattr(app, "would_hit_cache", lambda environ: False)
+        hopped = [asgi_call(asgi_app, f"/visitor/{p}", sid="bob") for p in walk]
+        for (a_status, a_headers, a_body), (b_status, b_headers, b_body) in zip(
+            inline, hopped
+        ):
+            assert a_headers.pop("X-Repro-Session") == "alice"
+            assert b_headers.pop("X-Repro-Session") == "bob"
+            assert a_headers["X-Repro-Cache"] == "hit"
+            assert (a_status, a_headers, a_body) == (b_status, b_headers, b_body)
+
+    def test_reconfigure_after_the_check_still_serves_the_new_stack(
+        self, served, monkeypatch
+    ):
+        server, app = served
+        asgi_app = AsgiNavigationApp(app)
+        page = f"/visitor/{GUITAR}"
+        _, _, before = wsgi_call(app, page, sid="warm")
+        assert b'rel="next"' in before  # the guided tour is woven
+        threads = self.record_threads(app, monkeypatch)
+        check = app.would_hit_cache
+
+        def check_then_reconfigure(environ):
+            cached = check(environ)
+            server.reconfigure("visitor", ("index",))
+            return cached
+
+        monkeypatch.setattr(app, "would_hit_cache", check_then_reconfigure)
+        _, headers, body = asgi_call(asgi_app, page, sid="alice")
+        assert threads == [threading.get_ident()]  # decided inline
+        assert headers["X-Repro-Cache"] == "miss"  # respond re-checked
+        assert b'rel="next"' not in body
+        _, _, fresh = wsgi_call(
+            app, page, sid="bob", headers=[("X-Repro-Cache", "bypass")]
+        )
+        assert body == fresh
+
+    def test_the_check_counts_nothing_and_opens_no_session(self, fixture):
+        config = ServingConfig(cache_pages=2)
+        with AudienceServer(fixture, VISITOR_CURATOR, config=config) as server:
+            app = NavigationApp(server)
+            try:
+                cache = server.page_cache("visitor")
+                pages = ["index.html", GUITAR, "PainterNode/picasso.html"]
+                wsgi_call(app, f"/visitor/{pages[0]}", sid="warm")
+                wsgi_call(app, f"/visitor/{pages[1]}", sid="warm")
+                before = cache.stats()
+
+                def check(page):
+                    environ = {"REQUEST_METHOD": "GET", "PATH_INFO": page}
+                    return app.would_hit_cache(environ)
+
+                assert check(f"/visitor/{pages[1]}")
+                assert check(f"/visitor/{pages[0]}")
+                assert not check(f"/visitor/{pages[2]}")
+                assert not check("/visitor/ghost.html")
+                assert not check("/-/stats")
+                assert cache.stats() == before
+                assert [s.sid for s in app.sessions()] == ["warm"]
+                # The peek left pages[0] least recently used: the next
+                # store evicts it, not pages[1].
+                wsgi_call(app, f"/visitor/{pages[2]}", sid="warm")
+                assert not check(f"/visitor/{pages[0]}")
+                assert check(f"/visitor/{pages[1]}")
+            finally:
+                app.close()
 
 
 class _LoopServer:

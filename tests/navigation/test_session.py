@@ -1,6 +1,7 @@
 """Tests for navigation sessions: the context-dependent semantics of §2."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import museum_fixture
 from repro.navigation import (
@@ -9,6 +10,8 @@ from repro.navigation import (
     NavigationSession,
     SessionRecord,
 )
+from repro.navigation.session import breadcrumb_fragment, breadcrumb_nav
+from repro.xmlcore import serialize
 
 
 @pytest.fixture()
@@ -203,3 +206,52 @@ class TestTrailRestore:
         target = BreadcrumbTrail(8)
         target.restore(SessionRecord.from_json(record.to_json()).trail)
         assert target.entries() == source.entries()
+
+
+# Segment names include the characters an href attribute must escape.
+_names = st.sampled_from(["a", "rooms", "PaintingNode", "x&y", 'q"t', "<b>", "é"])
+# A "name/.." pair cancels itself, so paths carry ``..`` segments without
+# ever climbing out of the site root (site paths never do).
+_segments = st.one_of(_names, _names.map(lambda name: f"{name}/.."))
+_site_paths = st.builds(
+    lambda dirs, leaf: "/".join([*dirs, f"{leaf}.html"]),
+    st.lists(_segments, max_size=3),
+    _names,
+)
+_titles = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet=list("<>&\"'\t\n\r é漢🙂"), max_size=12),
+)
+
+
+class TestBreadcrumbFragment:
+    """The serving fragment is the DOM trail block, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        crumbs=st.lists(st.tuples(_site_paths, _titles), min_size=1, max_size=8),
+        path=_site_paths,
+    )
+    def test_matches_the_serialized_dom_form(self, crumbs, path):
+        assert breadcrumb_fragment(crumbs, path) == serialize(
+            breadcrumb_nav(crumbs, path)
+        )
+
+    def test_covers_root_same_directory_and_empty_title_shapes(self):
+        crumbs = [
+            ("index.html", ""),
+            ("rooms/r1.html", "Room <1>"),
+            ("rooms/deep/r2.html", "R & 2"),
+        ]
+        for path in ("index.html", "rooms/r3.html", "rooms/deep/x/../r4.html"):
+            assert breadcrumb_fragment(crumbs, path) == serialize(
+                breadcrumb_nav(crumbs, path)
+            )
+        fragment = breadcrumb_fragment(crumbs, "rooms/r3.html")
+        assert '<a href="../index.html" rel="breadcrumb"></a>' in fragment
+        assert '<a href="r1.html" rel="breadcrumb">Room &lt;1&gt;</a>' in fragment
+
+    @given(path=_site_paths)
+    def test_no_crumbs_is_no_fragment(self, path):
+        assert breadcrumb_nav([], path) is None
+        assert breadcrumb_fragment([], path) == ""
