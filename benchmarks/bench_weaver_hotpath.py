@@ -625,6 +625,73 @@ def bench_serve_page_full_trail():
                 app.close()
 
 
+def bench_site_scaling(*, small=100, large=400, per_painter=20, pages=100):
+    """A cache-off request on a *small*-painter and a *large*-painter site.
+
+    Both synthetic museums have contexts of the same size (*per_painter*
+    paintings), the large one ``large / small`` times as many of them.
+    Each app serves *pages* painting pages spread evenly over its site,
+    cycled with the skeleton cache disabled, so every request renders.
+    Rounds alternate between the two sites, so a drift in machine speed
+    lands on both.  Returns ``(small_ns, large_ns)``: a render miss does
+    page-sized work, so the two should match.
+    """
+    import io
+
+    from repro.baselines import synthetic_museum
+    from repro.core import PageRenderer
+    from repro.navigation import (
+        AudienceBundle,
+        AudienceServer,
+        NavigationApp,
+        ServingConfig,
+    )
+    from repro.navigation.serving import build_node_map
+
+    def environ(page):
+        return {
+            "REQUEST_METHOD": "GET",
+            "PATH_INFO": f"/visitor/{page}",
+            "HTTP_X_REPRO_SESSION": "bench",
+            "CONTENT_LENGTH": "0",
+            "wsgi.input": io.BytesIO(b""),
+        }
+
+    bundles = [AudienceBundle("visitor", ("index", "guided-tour"))]
+    config = ServingConfig(cache_enabled=False)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(codegen_mode(True))
+        cycles = []
+        for painters in (small, large):
+            fixture = synthetic_museum(painters, per_painter)
+            server = stack.enter_context(
+                AudienceServer(fixture, bundles, config=config)
+            )
+            app = NavigationApp(server)
+            stack.callback(app.close)
+            paintings = sorted(
+                page
+                for page in build_node_map(PageRenderer(fixture))
+                if page.startswith("PaintingNode/")
+            )
+            step = len(paintings) // pages
+            environs = [environ(page) for page in paintings[::step][:pages]]
+            cycle = itertools.cycle(environs)
+
+            def one(app=app, cycle=cycle):
+                status, _, _ = app.respond(next(cycle))
+                assert status == "200 OK", status
+
+            for _ in range(pages):  # open the session, warm the memos
+                one()
+            cycles.append(one)
+        times: list[list[float]] = [[], []]
+        for _ in range(5):
+            for side, one in enumerate(cycles):
+                times[side].append(time_call(one, repeat=1, number=300))
+    return min(times[0]), min(times[1])
+
+
 def bench_session_scaling(*, live=10_000, arrivals=2_000):
     """A cached hit beside one live session and beside *live* of them.
 
@@ -970,6 +1037,9 @@ def main():
     # Informational: sessions hold no weave state, so this is the same
     # swap with one live session or ten thousand.
     results["reconfigure_10k_sessions_us"] = reconfigure / 1e3
+    miss_small, miss_large = bench_site_scaling()
+    results["serve_page_miss_100_painters_ns"] = miss_small
+    results["serve_page_miss_400_painters_ns"] = miss_large
     serve_async_p50, serve_async_p99 = bench_serve_async()
     results["serve_async_p50_us"] = serve_async_p50
     results["serve_async_p99_us"] = serve_async_p99
@@ -1042,6 +1112,12 @@ def main():
         # ~1.0; the seed-era per-session weave fell below 0.05 here.
         "serve_page_cached_10k_sessions": results["serve_page_cached_1_session_ns"]
         / results["serve_page_cached_10k_sessions_ns"],
+        # Flatness again: a render miss on a 100-painter site against the
+        # same miss on a 400-painter one (same context size, 4x the
+        # contexts).  Membership is indexed, so this stays ~1.0; the
+        # whole-site context scan it replaced fell to ~0.3 here.
+        "serve_page_miss_site_scaling": results["serve_page_miss_100_painters_ns"]
+        / results["serve_page_miss_400_painters_ns"],
     }
     if monitor_supported():
         # Committed as measured, including the negative half of the
@@ -1179,6 +1255,15 @@ def main():
             f"{1 / speedups['serve_page_cached_10k_sessions']:.2f}x the same "
             "hit beside one (target: <= 1.1x — no per-request cost may grow "
             "with the number of live sessions)",
+            file=sys.stderr,
+        )
+        failed = True
+    if speedups["serve_page_miss_site_scaling"] < 1 / 1.2:
+        print(
+            "WARNING: a render miss on a 400-painter site is "
+            f"{1 / speedups['serve_page_miss_site_scaling']:.2f}x the same "
+            "miss on a 100-painter site (target: <= 1.2x — a render must "
+            "do page-sized work, not scan every context of the site)",
             file=sys.stderr,
         )
         failed = True

@@ -140,7 +140,7 @@ class WeaverRuntime:
 
     @property
     def deployments(self) -> list[Deployment]:
-        return [d for d in self._deployments if d.active]
+        return list(self._deployments)
 
     @property
     def weave_epoch(self) -> int:
@@ -705,7 +705,15 @@ class WeaverRuntime:
         if deployment._tracks_cflow:
             watchers.unwatch()
             deployment._tracks_cflow = False
+        self._retire(deployment)
+
+    def _retire(self, deployment: Deployment) -> None:
+        """Mark *deployment* undone and forget it: the runtime holds only
+        live deployments, so an undeployed aspect (and whatever it keeps
+        alive) is released with the caller's last handle."""
         deployment.active = False
+        if deployment in self._deployments:
+            self._deployments.remove(deployment)
         self._weave_epoch += 1
 
     def undeploy_all(self) -> None:
@@ -1168,8 +1176,7 @@ class DeploymentSet:
                 if deployment._tracks_cflow:
                     watchers.unwatch()
                     deployment._tracks_cflow = False
-                deployment.active = False
-                self._runtime._weave_epoch += 1
+                self._runtime._retire(deployment)
         self._entries.clear()
 
     def undeploy(self, deployments: Iterable[Deployment] | None = None) -> None:

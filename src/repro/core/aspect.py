@@ -15,10 +15,12 @@ The base program never changes; deploying a different aspect instance
 
 from __future__ import annotations
 
+import posixpath
+
 from repro.aop import Aspect, around
 from repro.baselines.museum_data import MuseumFixture
-from repro.hypermedia import NavigationalContext
-from repro.web import HtmlPage, nav_block
+from repro.hypermedia import Anchor, NavigationalContext, Node
+from repro.web import HtmlPage, nav_block, site_relpath
 
 from .navspec import NavigationSpec
 
@@ -28,13 +30,20 @@ class NavigationAspect(Aspect):
 
     One instance carries one :class:`NavigationSpec` plus the contexts it
     materializes; advice bodies consult only those — the page content is
-    whatever the base renderer produced.
+    whatever the base renderer produced.  A node page asks the spec about
+    the contexts holding that node only, found through a node → contexts
+    index, so a render costs the same on a site of any size.
     """
 
     def __init__(self, spec: NavigationSpec, fixture: MuseumFixture):
         self.spec = spec
         self.fixture = fixture
         self.contexts: dict[str, NavigationalContext] = spec.build_contexts(fixture)
+        # Node → the contexts holding it, in the order of ``contexts``.
+        self._holding: dict[Node, dict[str, NavigationalContext]] = {}
+        for name, context in self.contexts.items():
+            for member in context.members:
+                self._holding.setdefault(member, {})[name] = context
         #: Join point observations, useful for tests and the experiments.
         self.pages_advised: int = 0
 
@@ -43,14 +52,22 @@ class NavigationAspect(Aspect):
         """Inject the spec's anchors into every rendered node page."""
         page: HtmlPage = jp.proceed()
         (node,) = jp.args
-        anchors = self.spec.anchors_for(node, self.contexts, self.fixture.nav)
-        return self._with_nav(page, anchors)
+        return self._with_nav(page, self.anchors_for(node))
 
     @around("execution(PageRenderer.render_home)")
     def weave_home_navigation(self, jp) -> HtmlPage:
         """Inject the home page's entry indexes."""
         page: HtmlPage = jp.proceed()
         return self._with_nav(page, self.spec.home_anchors(self.fixture))
+
+    def anchors_for(self, node: Node) -> list[Anchor]:
+        """The spec's anchors for *node*'s page, from its holding contexts.
+
+        Equal to ``spec.anchors_for(node, self.contexts, nav)``: contexts
+        not holding *node* contribute nothing there either.
+        """
+        holding = self._holding.get(node, {})
+        return self.spec.anchors_for(node, holding, self.fixture.nav)
 
     def _with_nav(self, page: HtmlPage, anchors) -> HtmlPage:
         self.pages_advised += 1
@@ -68,15 +85,11 @@ def _relativize(anchors, page_path: str):
     Node URIs are site-absolute (``PaintingNode/guitar.html``); pages live
     in subdirectories, so anchors need ``../`` prefixes to resolve.
     """
-    import posixpath
-
-    from repro.hypermedia import Anchor
-
-    directory = posixpath.dirname(page_path)
+    directory = posixpath.dirname(page_path) or "."
     out = []
     for anchor in anchors:
         href = anchor.href
         if not href.startswith(("http://", "https://", "#")):
-            href = posixpath.relpath(href, directory or ".")
+            href = site_relpath(href, directory)
         out.append(Anchor(anchor.label, href, anchor.rel))
     return out

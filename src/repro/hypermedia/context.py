@@ -25,20 +25,24 @@ from .nodes import Node, NodeClass
 
 @dataclass
 class NavigationalContext:
-    """An ordered set of nodes traversable under one access structure."""
+    """An ordered set of nodes traversable under one access structure.
+
+    ``members`` is fixed after construction: duplicates are dropped (the
+    first occurrence keeps its place) and membership and position are
+    answered from a map built in the same pass, so mutating the list
+    afterwards would leave the two disagreeing.
+    """
 
     name: str
     members: list[Node]
     access_structure: AccessStructure
 
     def __post_init__(self) -> None:
-        seen: set[Node] = set()
-        unique: list[Node] = []
+        positions: dict[Node, int] = {}
         for member in self.members:
-            if member not in seen:
-                seen.add(member)
-                unique.append(member)
-        self.members = unique
+            positions.setdefault(member, len(positions))
+        self._positions = positions
+        self.members = list(positions)
 
     # -- membership and order ------------------------------------------------
 
@@ -46,14 +50,14 @@ class NavigationalContext:
         return len(self.members)
 
     def __contains__(self, node: Node) -> bool:
-        return node in self.members
+        return node in self._positions
 
     def position(self, node: Node) -> int:
         """0-based position of *node* in the context order."""
-        for index, member in enumerate(self.members):
-            if member == node:
-                return index
-        raise NavigationError(f"{node!r} is not in context {self.name!r}")
+        try:
+            return self._positions[node]
+        except KeyError:
+            raise NavigationError(f"{node!r} is not in context {self.name!r}") from None
 
     def next_after(self, node: Node) -> Node | None:
         """The member after *node*, or None at the end (non-circular)."""

@@ -156,6 +156,7 @@ class WorkerProcess:
         self._extra_args = tuple(extra_args)
         self._env = dict(env) if env is not None else None
         self._spawn_timeout = spawn_timeout
+        self._stderr = ""
 
     @property
     def base(self) -> str:
@@ -289,21 +290,35 @@ class WorkerProcess:
             raise ClusterError(
                 f"worker {self.name} ignored SIGTERM; killed"
             ) from None
+        finally:
+            self._close_pipes()
         return self.process.returncode
 
     def kill(self) -> None:
         """Hard ``SIGKILL`` (a crash stand-in for failover tests)."""
-        if self.process is not None and self.process.poll() is None:
+        if self.process is None:
+            return
+        if self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        """Keep what the exited child wrote to stderr, then close both
+        pipes (idempotent; a running child keeps them)."""
+        process = self.process
+        if process is None or process.poll() is None:
+            return
+        stderr = process.stderr
+        if stderr is not None and not stderr.closed:
+            self._stderr = stderr.read() or ""
+        for stream in (process.stdout, stderr):
+            if stream is not None:
+                stream.close()
 
     def stderr_text(self) -> str:
-        if self.process is None or self.process.stderr is None:
-            return ""
-        try:
-            return self.process.stderr.read() or ""
-        except ValueError:  # stream already closed
-            return ""
+        """What the child wrote to stderr, once it has exited."""
+        return self._stderr
 
 
 class WorkerPool:

@@ -9,6 +9,7 @@ dictionaries in the XLink and weaving layers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 #: Namespace URI permanently bound to the ``xml`` prefix.
@@ -115,4 +116,18 @@ def qname(name: str, namespace: str | None = None) -> QName:
     """Convenience constructor accepting either Clark notation or a local name."""
     if name.startswith("{"):
         return QName.from_clark(name)
+    if namespace is None:
+        return _local_qname(name)
     return QName(namespace, name)
+
+
+@functools.lru_cache(maxsize=1024)
+def _local_qname(name: str) -> QName:
+    """The (frozen, shareable) no-namespace :class:`QName` for *name*.
+
+    Every element and attribute built from a plain string name comes
+    through here, so each name is validated once rather than on every
+    ``build``.  An invalid name raises on every call: ``lru_cache`` never
+    stores an exception.
+    """
+    return QName(None, name)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import museum_fixture
+from repro.baselines import museum_fixture, synthetic_museum
 from repro.core import (
     NavigationAspect,
     NavigationWeaver,
@@ -214,3 +214,30 @@ class TestAudienceSites:
         )
         page = sites["power-user"].page("PaintingNode/guitar.html").html()
         assert 'rel="next"' in page
+
+
+class TestHoldingContextIndex:
+    """The aspect asks the spec about a node's holding contexts only."""
+
+    @pytest.mark.parametrize("site", ["default", "synthetic-7x3"])
+    @pytest.mark.parametrize(
+        "families",
+        [
+            {"by-painter": "index"},
+            {"by-painter": "guided-tour"},
+            {"by-painter": "indexed-guided-tour"},
+            {"by-painter": "guided-tour", "by-movement": "indexed-guided-tour"},
+        ],
+        ids=lambda families: "+".join(f"{f}={k}" for f, k in families.items()),
+    )
+    def test_anchors_match_a_scan_of_every_context(self, site, families):
+        fixture = museum_fixture() if site == "default" else synthetic_museum(7, 3)
+        spec = default_museum_spec()
+        for family, kind in families.items():
+            spec.set_access(family, kind, label_attribute="title")
+        aspect = NavigationAspect(spec, fixture)
+        nodes = PageRenderer(fixture).node_inventory()
+        assert nodes
+        for node in nodes:
+            expected = spec.anchors_for(node, aspect.contexts, fixture.nav)
+            assert aspect.anchors_for(node) == expected, node

@@ -14,15 +14,19 @@ import threading
 import pytest
 
 import repro.aop.weaver as weaver_mod
-from repro.baselines import museum_fixture
+from repro.baselines import museum_fixture, synthetic_museum
 from repro.core import PageRenderer, build_audience_sites, default_museum_spec
 from repro.navigation import (
+    DEFAULT_AUDIENCES,
     AudienceBundle,
     AudienceServer,
+    NavigationApp,
     NavigationError,
+    ServingConfig,
     UserAgent,
     normalize_page_uri,
 )
+from repro.navigation.serving import build_node_map
 
 
 @pytest.fixture()
@@ -309,3 +313,88 @@ class TestConcurrentAudiences:
             for thread in threads:
                 thread.join()
             assert errors == []
+
+
+class TestRenderMissParity:
+    """Indexed membership and the memos change no served byte.
+
+    The reference server answers each page by scanning every context of
+    the site and computing every href with a fresh ``posixpath.relpath``
+    — the unindexed, unmemoised render.  Every page of a synthetic
+    museum, for every audience, with the cache off and a walking trail,
+    must come out identical.
+    """
+
+    AUDIENCES = [
+        *DEFAULT_AUDIENCES,
+        AudienceBundle("full", ("indexed-guided-tour", "guided-tour")),
+    ]
+
+    def serve_all(self, fixture):
+        import io
+
+        pages = ["index.html", *build_node_map(PageRenderer(fixture))]
+        config = ServingConfig(cache_enabled=False)
+        with AudienceServer(fixture, self.AUDIENCES, config=config) as server:
+            app = NavigationApp(server)
+            try:
+                served = []
+                for bundle in self.AUDIENCES:
+                    for page in pages:
+                        environ = {
+                            "REQUEST_METHOD": "GET",
+                            "PATH_INFO": f"/{bundle.name}/{page}",
+                            "HTTP_X_REPRO_SESSION": f"walker-{bundle.name}",
+                            "CONTENT_LENGTH": "0",
+                            "wsgi.input": io.BytesIO(b""),
+                        }
+                        served.append((page, app.respond(environ)))
+                return served
+            finally:
+                app.close()
+
+    def test_every_page_matches_the_scanning_reference(self, monkeypatch):
+        import posixpath
+
+        import repro.core.aspect as aspect_mod
+        import repro.navigation.session as session_mod
+        from repro.core import NavigationAspect
+
+        fixture = synthetic_museum(9, 4)
+        served = self.serve_all(fixture)
+        assert all(status == "200 OK" for _, (status, _, _) in served)
+
+        def scan_every_context(aspect, node):
+            return aspect.spec.anchors_for(node, aspect.contexts, aspect.fixture.nav)
+
+        monkeypatch.setattr(NavigationAspect, "anchors_for", scan_every_context)
+        monkeypatch.setattr(aspect_mod, "site_relpath", posixpath.relpath)
+        monkeypatch.setattr(session_mod, "site_relpath", posixpath.relpath)
+        session_mod._crumb_href.cache_clear()
+        reference = self.serve_all(fixture)
+        assert len(served) == len(reference)
+        for (page, got), (_, want) in zip(served, reference):
+            assert got == want, page
+
+
+class TestReconfigureReleasesOldStacks:
+    def test_runtime_and_heap_hold_only_live_aspects(self, fixture):
+        import gc
+
+        from repro.core import NavigationAspect
+
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            runtime = server.runtime
+            stacks = [("index",), ("index", "guided-tour"), ("guided-tour",)]
+            for round_ in range(12):
+                server.reconfigure("visitor", stacks[round_ % 3])
+                server.reconfigure("curator", stacks[(round_ + 1) % 3])
+            assert len(runtime._deployments) == len(runtime.deployments)
+            live = {id(d.aspect) for d in runtime.deployments}
+            gc.collect()
+            reachable = {
+                id(obj)
+                for obj in gc.get_objects()
+                if isinstance(obj, NavigationAspect) and obj.fixture is fixture
+            }
+            assert reachable == live

@@ -102,3 +102,13 @@ class TestQName:
 
     def test_qname_helper_accepts_local_plus_namespace(self):
         assert qname("href", XLINK_NAMESPACE) == QName(XLINK_NAMESPACE, "href")
+
+    def test_qname_helper_rejects_an_invalid_name_on_every_call(self):
+        # The local-name memo must not turn a rejected name into a hit.
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                qname("bad name")
+
+    def test_qname_helper_shares_one_frozen_local_name(self):
+        assert qname("painting") is qname("painting")
+        assert qname("painting") == QName(None, "painting")
