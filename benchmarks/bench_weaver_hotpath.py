@@ -632,11 +632,15 @@ def bench_site_scaling(*, small=100, large=400, per_painter=20, pages=100):
     paintings), the large one ``large / small`` times as many of them.
     Each app serves *pages* painting pages spread evenly over its site,
     cycled with the skeleton cache disabled, so every request renders.
-    Rounds alternate between the two sites, so a drift in machine speed
-    lands on both.  Returns ``(small_ns, large_ns)``: a render miss does
-    page-sized work, so the two should match.
+    Rounds of one cycle each alternate between the two sites, so a drift
+    in machine speed lands on both.  Each side reports its median round:
+    the fastest round of one side can fall in a fast spell the other
+    side missed, which swung the ratio by ±15% on a shared 2-core host,
+    against ±3% for the medians.  Returns ``(small_ns, large_ns)``: a
+    render miss does page-sized work, so the two should match.
     """
     import io
+    import statistics
 
     from repro.baselines import synthetic_museum
     from repro.core import PageRenderer
@@ -686,10 +690,10 @@ def bench_site_scaling(*, small=100, large=400, per_painter=20, pages=100):
                 one()
             cycles.append(one)
         times: list[list[float]] = [[], []]
-        for _ in range(5):
+        for _ in range(15):
             for side, one in enumerate(cycles):
-                times[side].append(time_call(one, repeat=1, number=300))
-    return min(times[0]), min(times[1])
+                times[side].append(time_call(one, repeat=1, number=pages))
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 def bench_session_scaling(*, live=10_000, arrivals=2_000):

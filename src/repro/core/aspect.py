@@ -15,12 +15,13 @@ The base program never changes; deploying a different aspect instance
 
 from __future__ import annotations
 
+import functools
 import posixpath
 
 from repro.aop import Aspect, around
 from repro.baselines.museum_data import MuseumFixture
 from repro.hypermedia import Anchor, NavigationalContext, Node
-from repro.web import HtmlPage, nav_block, site_relpath
+from repro.web import HtmlPage, nav_block
 
 from .navspec import NavigationSpec
 
@@ -79,6 +80,18 @@ class NavigationAspect(Aspect):
         return page
 
 
+@functools.lru_cache(maxsize=8192)
+def _site_relpath(path: str, directory: str) -> str:
+    """The href of site path *path* from a page in site *directory*.
+
+    Pure despite ``relpath`` reading the working directory: both
+    arguments are site-relative, so the cwd cancels out.  Bounded, since a
+    site has as many keys as (target, page directory) pairs: ~4.2k on a
+    2,100-page museum, so the whole key space of such a site fits.
+    """
+    return posixpath.relpath(path, directory)
+
+
 def _relativize(anchors, page_path: str):
     """Rewrite absolute site paths into hrefs relative to *page_path*.
 
@@ -90,6 +103,6 @@ def _relativize(anchors, page_path: str):
     for anchor in anchors:
         href = anchor.href
         if not href.startswith(("http://", "https://", "#")):
-            href = site_relpath(href, directory)
+            href = _site_relpath(href, directory)
         out.append(Anchor(anchor.label, href, anchor.rel))
     return out

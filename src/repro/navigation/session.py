@@ -28,7 +28,7 @@ from repro.hypermedia.access import Anchor
 from repro.hypermedia.context import NavigationalContext
 from repro.hypermedia.nodes import Node
 from repro.hypermedia.schema import NavigationalSchema
-from repro.web.html import TRAIL_NAV_CLASS, site_relpath
+from repro.web.html import TRAIL_NAV_CLASS
 from repro.xmlcore.serializer import escape_attribute, escape_text
 
 from .errors import NavigationError
@@ -266,11 +266,11 @@ def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
 def _crumb_href(crumb_path: str, directory: str) -> str:
     """The escaped ``href`` of a crumb seen from a page in *directory*.
 
-    Memoised escaped, not just through :func:`site_relpath`: a full trail
-    is eight crumbs on every cache hit, and escaping each again cost the
-    hit ~15%.
+    Pure despite ``relpath`` reading the working directory: both
+    arguments are site-relative, so the cwd cancels out.  Bounded, since
+    a large site has as many keys as (page, directory) pairs.
     """
-    return escape_attribute(site_relpath(crumb_path, directory))
+    return escape_attribute(posixpath.relpath(crumb_path, directory))
 
 
 def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:

@@ -19,7 +19,6 @@ from .html import (
     nav_block,
     page_skeleton,
     paragraph,
-    site_relpath,
 )
 from .site import SiteProvider, StaticSite
 from .stylesheet import Stylesheet, TemplateRule, TransformContext
@@ -47,6 +46,5 @@ __all__ = [
     "nav_block",
     "page_skeleton",
     "paragraph",
-    "site_relpath",
     "unified_diff",
 ]

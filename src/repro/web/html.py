@@ -8,8 +8,6 @@ navigation anchors in one canonical shape: ``<a href rel>``.
 
 from __future__ import annotations
 
-import functools
-import posixpath
 from dataclasses import dataclass
 
 from repro.hypermedia.access import Anchor
@@ -23,19 +21,6 @@ TRAIL_NAV_CLASS = "breadcrumbs"
 #: The placeholder the skeleton serializer emits where the trail block
 #: sat.  :func:`compose_page` splices a per-request fragment over it.
 TRAIL_SLOT = "<!--repro:trail-->"
-
-
-@functools.lru_cache(maxsize=8192)
-def site_relpath(path: str, directory: str) -> str:
-    """The href of site path *path* from a page in site *directory*.
-
-    Pure despite ``relpath`` reading the working directory: both
-    arguments are site-relative, so the cwd cancels out.  Shared by the
-    woven navigation block and the breadcrumb trail.  Bounded, since a
-    site has as many keys as (target, page directory) pairs: ~4.2k on a
-    2,100-page museum, so the whole key space of such a site fits.
-    """
-    return posixpath.relpath(path, directory)
 
 
 def page_skeleton(title: str) -> tuple[Element, Element]:

@@ -357,7 +357,6 @@ class TestRenderMissParity:
         import posixpath
 
         import repro.core.aspect as aspect_mod
-        import repro.navigation.session as session_mod
         from repro.core import NavigationAspect
 
         fixture = synthetic_museum(9, 4)
@@ -368,9 +367,7 @@ class TestRenderMissParity:
             return aspect.spec.anchors_for(node, aspect.contexts, aspect.fixture.nav)
 
         monkeypatch.setattr(NavigationAspect, "anchors_for", scan_every_context)
-        monkeypatch.setattr(aspect_mod, "site_relpath", posixpath.relpath)
-        monkeypatch.setattr(session_mod, "site_relpath", posixpath.relpath)
-        session_mod._crumb_href.cache_clear()
+        monkeypatch.setattr(aspect_mod, "_site_relpath", posixpath.relpath)
         reference = self.serve_all(fixture)
         assert len(served) == len(reference)
         for (page, got), (_, want) in zip(served, reference):
