@@ -12,7 +12,7 @@ matched shadows.
 
 import pytest
 
-from repro.aop import Aspect, Weaver, around, before, execution
+from repro.aop import Aspect, WeaverRuntime, around, before, execution
 from repro.aop.joinpoint import JoinPointKind
 
 
@@ -54,42 +54,38 @@ def test_baseline_plain_call(benchmark):
 
 
 def test_woven_call_with_before_advice(benchmark):
-    weaver = Weaver()
-    deployment = weaver.deploy(BeforeAspect(), [Node])
+    handle = WeaverRuntime().weave(Node, BeforeAspect())
     node = Node()
     try:
         benchmark(node.render)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def test_woven_call_with_around_advice(benchmark):
-    weaver = Weaver()
-    deployment = weaver.deploy(AroundAspect(), [Node])
+    handle = WeaverRuntime().weave(Node, AroundAspect())
     node = Node()
     try:
         benchmark(node.render)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def test_woven_call_with_cflow_residue(benchmark):
-    weaver = Weaver()
-    deployment = weaver.deploy(CflowAspect(), [Node])
+    handle = WeaverRuntime().weave(Node, CflowAspect())
     node = Node()
     try:
         benchmark(node.helper)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def test_deploy_undeploy_cycle(benchmark):
-    weaver = Weaver()
+    weaver = WeaverRuntime()
     aspect = BeforeAspect()
 
     def cycle():
-        deployment = weaver.deploy(aspect, [Node])
-        weaver.undeploy(deployment)
+        weaver.weave(Node, aspect).undeploy()
 
     benchmark(cycle)
 
@@ -111,9 +107,7 @@ def test_pointcut_shadow_matching(benchmark):
 @pytest.mark.parametrize("calls", [100, 1000])
 def test_advised_call_burst(benchmark, calls):
     """Amortized cost of n advised calls (the site build's inner loop)."""
-    weaver = Weaver()
-    aspect = BeforeAspect()
-    deployment = weaver.deploy(aspect, [Node])
+    handle = WeaverRuntime().weave(Node, BeforeAspect())
     node = Node()
 
     def burst():
@@ -123,4 +117,4 @@ def test_advised_call_burst(benchmark, calls):
     try:
         benchmark(burst)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()

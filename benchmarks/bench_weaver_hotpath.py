@@ -5,9 +5,8 @@ pointcut's dynamic residue on *every* advised call, and pushed a join point
 frame whether or not anything could observe it.  PR 1's compiled weaver
 does the partitioning once at deployment time and skips stack bookkeeping
 for statically-matched shadows; PR 2 code-generates a specialized closure
-per shadow over a pooled join point (``REPRO_AOP_CODEGEN``); on 3.12+ a
-``sys.monitoring`` tier intercepts observation-only advice with zero
-wrapper frames (``REPRO_AOP_MONITOR``).  This harness prices every tier —
+per shadow over a pooled join point (``REPRO_AOP_CODEGEN``).  This
+harness prices every tier —
 using a faithful reproduction of the seed implementation as the baseline —
 plus the join point pool itself and the single-scan batch planner, and
 writes the numbers to
@@ -44,9 +43,7 @@ from repro.aop import (
     field_get,
     field_set,
     generator,
-    monitor_supported,
     proceed,
-    return_,
 )
 from repro.aop.joinpoint import (
     JoinPoint,
@@ -62,7 +59,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_weaver_hotpath.json"
 # -- the seed (pre-refactor) implementation, reproduced as the baseline -------
 
 
-def _legacy_wrap_around(advice, jp, inner):
+def _seed_wrap_around(advice, jp, inner):
     def runner(*args, **kwargs):
         pjp = ProceedingJoinPoint(jp, inner)
         pjp.args = args or jp.args
@@ -72,7 +69,7 @@ def _legacy_wrap_around(advice, jp, inner):
     return runner
 
 
-def _legacy_run_advice_chain(advice, jp, proceed):
+def _seed_advice_chain(advice, jp, proceed):
     befores = [a for a in advice if a.kind is AdviceKind.BEFORE]
     arounds = [a for a in advice if a.kind is AdviceKind.AROUND]
     returnings = [a for a in advice if a.kind is AdviceKind.AFTER_RETURNING]
@@ -81,7 +78,7 @@ def _legacy_run_advice_chain(advice, jp, proceed):
 
     chain = proceed
     for around_advice in reversed(arounds):
-        chain = _legacy_wrap_around(around_advice, jp, chain)
+        chain = _seed_wrap_around(around_advice, jp, chain)
 
     for item in befores:
         item.invoke(jp)
@@ -127,7 +124,7 @@ class LegacyWeaver(WeaverRuntime):
                 def proceed(*call_args, **call_kwargs):
                     return original(self, *call_args, **call_kwargs)
 
-                return _legacy_run_advice_chain(applicable, jp, proceed)
+                return _seed_advice_chain(applicable, jp, proceed)
 
         wrapper.__woven__ = True
         wrapper.__woven_original__ = original
@@ -255,31 +252,17 @@ def codegen_mode(enabled):
             os.environ["REPRO_AOP_CODEGEN"] = previous
 
 
-@contextlib.contextmanager
-def monitor_mode(enabled):
-    """Force the monitor tier on (or off) for deployments inside the block."""
-    previous = os.environ.get("REPRO_AOP_MONITOR")
-    os.environ["REPRO_AOP_MONITOR"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_AOP_MONITOR", None)
-        else:
-            os.environ["REPRO_AOP_MONITOR"] = previous
-
-
 def bench_advised_call(weaver_cls, aspect_factory, *, codegen=False):
     Node = fresh_node_class()
     weaver = weaver_cls()
     aspect = aspect_factory(Node)
     with codegen_mode(codegen):
-        deployment = weaver.deploy(aspect, [Node])
+        handle = weaver.weave(Node, aspect)
     node = Node()
     try:
         return time_call(node.render)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def bench_stacked_advised_call(weaver_cls, *, codegen=False):
@@ -291,14 +274,14 @@ def bench_stacked_advised_call(weaver_cls, *, codegen=False):
     Node = fresh_node_class()
     weaver = weaver_cls()
     with codegen_mode(codegen):
-        first = weaver.deploy(BeforeAspect(), [Node])
-        second = weaver.deploy(SecondBeforeAspect(), [Node])
+        first = weaver.weave(Node, BeforeAspect())
+        second = weaver.weave(Node, SecondBeforeAspect())
     node = Node()
     try:
         return time_call(node.render)
     finally:
-        weaver.undeploy(second)
-        weaver.undeploy(first)
+        second.undeploy()
+        first.undeploy()
 
 
 def _module_func_fixture():
@@ -352,7 +335,7 @@ def bench_module_func_call(*, legacy, codegen=True):
                 def proceed_fn(*call_args, **call_kwargs):
                     return original(*call_args, **call_kwargs)
 
-                return _legacy_run_advice_chain(applicable, jp, proceed_fn)
+                return _seed_advice_chain(applicable, jp, proceed_fn)
 
         module.render = wrapper
         try:
@@ -383,44 +366,12 @@ def bench_instance_scoped_call(*, scoped):
     weaver = WeaverRuntime()
     scoped_node, unscoped_node = Node(), Node()
     with codegen_mode(True):
-        deployment = weaver.deploy(BeforeAspect(), [Node], instances=[scoped_node])
+        handle = weaver.weave(Node, BeforeAspect(), instances=[scoped_node])
     node = scoped_node if scoped else unscoped_node
     try:
         return time_call(node.render)
     finally:
-        weaver.undeploy(deployment)
-
-
-def bench_monitor_call(*, advised):
-    """Monitor-tier dispatch: the advised call, or an unadvised sibling.
-
-    Deploys a static observation-only before aspect through the
-    ``sys.monitoring`` tier (no wrapper in the class ``__dict__``) and
-    prices either the advised method — one PY_START callback dispatching
-    the advice table — or a *different*, unadvised method of the same
-    class while the monitor deployment is live: the zero-residue
-    passthrough, which must cost a true plain call because nothing was
-    installed on the class at all.
-    """
-
-    class Node:
-        def render(self):
-            return 42
-
-        def sibling(self):
-            return 7
-
-    weaver = WeaverRuntime()
-    with monitor_mode(True):
-        deployment = weaver.deploy(BeforeAspect(), [Node])
-    assert deployment.monitor_sites, "monitor tier did not engage"
-    node = Node()
-    fn = node.render if advised else node.sibling
-    try:
-        number = 50_000 if advised else 200_000
-        return time_call(fn, number=number)
-    finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def bench_field_access(*, codegen, write):
@@ -434,7 +385,7 @@ def bench_field_access(*, codegen, write):
     Node = fresh_field_node_class()
     weaver = WeaverRuntime()
     with codegen_mode(codegen):
-        deployment = weaver.deploy(FieldAspect(), [Node], fields=["level"])
+        handle = weaver.weave(Node, FieldAspect(), fields=["level"])
     node = Node()
     if write:
 
@@ -449,7 +400,7 @@ def bench_field_access(*, codegen, write):
     try:
         return time_call(one)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def bench_joinpoint_construction(*, pooled):
@@ -512,10 +463,10 @@ def bench_serve_page(*, legacy, cached=False):
     node = fixture.painting_node("guitar")
     if legacy:
         weaver = LegacyWeaver()
-        deployments = [
-            weaver.deploy(
+        handles = [
+            weaver.weave(
+                PageRenderer,
                 NavigationAspect(default_museum_spec(access), fixture),
-                [PageRenderer],
             )
             for access in ("index", "guided-tour")
         ]
@@ -527,8 +478,8 @@ def bench_serve_page(*, legacy, cached=False):
         try:
             return time_call(one, repeat=3, number=500)
         finally:
-            for deployment in reversed(deployments):
-                weaver.undeploy(deployment)
+            for handle in reversed(handles):
+                handle.undeploy()
 
     from repro.navigation import (
         AudienceBundle,
@@ -925,6 +876,10 @@ def bench_deploy_batch(*, mode):
     ``single_scan``
         PR 2: the batch planner — one scan per class for the whole batch,
         woven classes' scans derived instead of rescanned.
+
+    The two sequential modes deploy through ``_deploy``, the engine with
+    no transaction around it, as the seed's per-aspect deploys did; the
+    batch runs through one ``transaction()`` with an ``add()`` per aspect.
     """
     import repro.aop.weaver as weaver_mod
 
@@ -933,13 +888,15 @@ def bench_deploy_batch(*, mode):
     def run():
         weaver = WeaverRuntime()
         if mode == "single_scan":
-            weaver.deploy_all(aspects, classes)
+            with weaver.transaction(classes) as tx:
+                for aspect in aspects:
+                    tx.add(aspect)
         else:
             for aspect in aspects:
                 if mode == "rescan":
                     # the seed rescanned every deploy
                     weaver.shadow_index.clear()
-                weaver.deploy(aspect, classes)
+                weaver._deploy(aspect, classes)
         weaver.undeploy_all()
 
     real_scan = weaver_mod._scan_method_shadows
@@ -956,12 +913,6 @@ def bench_deploy_batch(*, mode):
 
 
 def main():
-    # The monitor tier auto-engages on 3.12+ for exactly the shape the
-    # wrapper-tier series deploy (observation-only, residue-free,
-    # unscoped).  Pin it off so every wrapper series — including the
-    # LegacyWeaver baseline, which inherits the deploy-time tier planner —
-    # keeps pricing wrappers; the monitor series opt in via monitor_mode.
-    os.environ["REPRO_AOP_MONITOR"] = "0"
     Node = fresh_node_class()
     node = Node()
     results = {
@@ -1026,11 +977,6 @@ def main():
         "deploy_batch_indexed_us": bench_deploy_batch(mode="indexed"),
         "deploy_batch_single_scan_us": bench_deploy_batch(mode="single_scan"),
     }
-    if monitor_supported():
-        results["call_static_before_monitor_ns"] = bench_monitor_call(advised=True)
-        results["call_unscoped_passthrough_monitor_ns"] = bench_monitor_call(
-            advised=False
-        )
     hit_one, hit_live, first_page, reconfigure = bench_session_scaling()
     results["serve_page_cached_1_session_ns"] = hit_one
     results["serve_page_cached_10k_sessions_ns"] = hit_live
@@ -1123,22 +1069,6 @@ def main():
         "serve_page_miss_site_scaling": results["serve_page_miss_100_painters_ns"]
         / results["serve_page_miss_400_painters_ns"],
     }
-    if monitor_supported():
-        # Committed as measured, including the negative half of the
-        # result: the advised monitor-tier call is *slower* than codegen
-        # wrappers (Python-level PY_START/PY_RETURN callbacks floor at
-        # ~2-5x a plain call before any advice runs — see the aop README).
-        # The series that vindicates the tier is the passthrough: an
-        # unadvised member of a monitored class costs a true plain call,
-        # because the monitor tier installs nothing on the class.
-        speedups["static_before_monitor"] = (
-            results["call_static_before_legacy_ns"]
-            / results["call_static_before_monitor_ns"]
-        )
-        speedups["unscoped_passthrough_monitor"] = (
-            results["call_plain_ns"]
-            / results["call_unscoped_passthrough_monitor_ns"]
-        )
     codegen_over_compiled = {
         "static_before": results["call_static_before_compiled_ns"]
         / results["call_static_before_codegen_ns"],
@@ -1155,15 +1085,6 @@ def main():
         "speedup_vs_seed": {k: round(v, 2) for k, v in speedups.items()},
         "codegen_over_compiled": {
             k: round(v, 2) for k, v in codegen_over_compiled.items()
-        },
-        # Interpreter floors per speedup series: check_regression treats a
-        # committed series as informational (not "disappeared") when the
-        # gating run's interpreter is below the floor.  Recorded on every
-        # run — including 3.11 runs that cannot measure the series — so
-        # whichever payload is the baseline carries the map.
-        "requires_python": {
-            "static_before_monitor": "3.12",
-            "unscoped_passthrough_monitor": "3.12",
         },
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -1213,20 +1134,6 @@ def main():
             file=sys.stderr,
         )
         failed = True
-    if monitor_supported():
-        monitor_passthrough_ratio = (
-            results["call_unscoped_passthrough_monitor_ns"]
-            / results["call_plain_ns"]
-        )
-        if monitor_passthrough_ratio > 2.0:
-            print(
-                "WARNING: an unadvised member of a monitored class costs "
-                f"{monitor_passthrough_ratio:.2f}x a plain call (target: "
-                "~1x — the monitor tier installs nothing on the class, so "
-                "its passthrough must be residue-free)",
-                file=sys.stderr,
-            )
-            failed = True
     if speedups["serve_page_cached"] < 50.0:
         print(
             "WARNING: a warm cached page request is only "

@@ -30,36 +30,6 @@ def _minor_version(payload: dict) -> str:
     return ".".join(payload.get("python", "").split(".")[:2])
 
 
-def _version_tuple(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split("."))
-    except ValueError:
-        return ()
-
-
-def interpreter_gated_series(baseline: dict, current: dict) -> dict[str, str]:
-    """Baseline series the current run's interpreter cannot produce.
-
-    Benchmark payloads record interpreter floors per series in a
-    ``requires_python`` map (``{"static_before_monitor": "3.12"}``).
-    A committed series whose floor is above the current run's interpreter
-    is *expected* to be absent — the monitor-tier series only exist where
-    ``sys.monitoring`` does — so its absence is informational, never a
-    "series disappeared" failure.  Returns ``{series: required_version}``.
-    """
-    requirements = {
-        **baseline.get("requires_python", {}),
-        **current.get("requires_python", {}),
-    }
-    running = _version_tuple(_minor_version(current))
-    gated: dict[str, str] = {}
-    for key in baseline.get("speedup_vs_seed", {}):
-        needed = requirements.get(key)
-        if needed and (not running or running < _version_tuple(needed)):
-            gated[key] = needed
-    return gated
-
-
 def check(baseline: dict, current: dict, tolerance: float) -> list[str]:
     """Human-readable failure messages (empty when the gate passes).
 
@@ -72,12 +42,9 @@ def check(baseline: dict, current: dict, tolerance: float) -> list[str]:
     failures = []
     baseline_speedups = baseline.get("speedup_vs_seed", {})
     current_speedups = current.get("speedup_vs_seed", {})
-    gated_out = interpreter_gated_series(baseline, current)
     for key, committed in sorted(baseline_speedups.items()):
         measured = current_speedups.get(key)
         if measured is None:
-            if key in gated_out:
-                continue  # absent because the interpreter is too old
             failures.append(f"{key}: series disappeared from the benchmark")
             continue
         floor = committed * (1.0 - tolerance)
@@ -109,7 +76,6 @@ def delta_rows(baseline: dict, current: dict) -> list[tuple[str, str, str, str, 
     series took before it was committed to ``speedup_vs_seed``.
     """
     rows: list[tuple[str, str, str, str, str]] = []
-    gated_out = interpreter_gated_series(baseline, current)
     for section, gated in (("speedup_vs_seed", "yes"), ("results_ns", "no")):
         committed_map = baseline.get(section, {})
         measured_map = current.get(section, {})
@@ -121,11 +87,7 @@ def delta_rows(baseline: dict, current: dict) -> list[tuple[str, str, str, str, 
             if committed is None:
                 delta = "new"
             elif measured is None:
-                if section == "speedup_vs_seed" and name in gated_out:
-                    delta = f"needs {gated_out[name]}+"
-                    gating = "skipped"
-                else:
-                    delta = "gone"
+                delta = "gone"
             elif committed == 0:
                 delta = "n/a"
             else:
@@ -219,15 +181,6 @@ def main(argv: list[str] | None = None) -> int:
         for line in failures:
             print(f"  - {line}", file=sys.stderr)
         return 1
-    gated_out = interpreter_gated_series(baseline, current)
-    if gated_out:
-        listed = ", ".join(
-            f"{name} (needs {needed}+)" for name, needed in sorted(gated_out.items())
-        )
-        print(
-            "note: committed series not measurable on python "
-            f"{current_python or '?'}, skipped: {listed}"
-        )
     added = new_series(baseline, current)
     if added:
         print(

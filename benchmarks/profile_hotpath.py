@@ -1,23 +1,13 @@
 """Profile the advised-call hot path, tier by tier.
 
-Where ``bench_weaver_hotpath.py`` prices each interception tier as a single
+Where ``bench_weaver_hotpath.py`` prices each wrapper tier as a single
 number, this harness answers *where the nanoseconds go*: it deploys the
-same observation-only aspect through every tier the interpreter supports
-(compiled wrappers, generated wrappers, and the ``sys.monitoring`` tier on
-3.12+), times the advised call, and runs the call loop under ``cProfile``
-so the per-function breakdown of each tier's dispatch is visible side by
-side.  The summary table is the per-tier ns breakdown; the per-tier
-profile tables attribute the overhead to advice bodies, pool operations
-and (for the monitor tier) the PY_START/PY_RETURN callbacks.
-
-The two tool stacks coexist — ``cProfile`` holds ``sys.monitoring``'s
-reserved profiler tool id on 3.12+ while the weaver claims a free id of
-its own — but the monitor tier's callbacks never appear as frames in the
-profile: another tool's callbacks are invisible to the profile hook, so
-their cost is attributed to the advised method's own self-time.  The
-monitor tier's table therefore shows *no* dispatch frames at all and an
-inflated ``render`` self-time — which is the residue-free property,
-exactly as a production profiler would see it.
+same observation-only aspect through both tiers (compiled wrappers and
+generated wrappers), times the advised call, and runs the call loop under
+``cProfile`` so the per-function breakdown of each tier's dispatch is
+visible side by side.  The summary table is the per-tier ns breakdown;
+the per-tier profile tables attribute the overhead to advice bodies and
+pool operations.
 
 Run::
 
@@ -39,7 +29,7 @@ import sys
 import timeit
 from pathlib import Path
 
-from repro.aop import Aspect, WeaverRuntime, before, monitor_supported
+from repro.aop import Aspect, WeaverRuntime, before
 from repro.metrics import format_table
 
 
@@ -62,40 +52,24 @@ def fresh_node_class():
     return Node
 
 
-# Tier name -> (REPRO_AOP_CODEGEN, REPRO_AOP_MONITOR).  The monitor tier
-# keeps codegen on: shadows the planner pins to wrappers should land on
-# the fastest wrapper tier, exactly as in production.
-_TIER_ENV = {
-    "compiled": ("0", "0"),
-    "codegen": ("1", "0"),
-    "monitor": ("1", "1"),
+# Tier name -> (REPRO_AOP_CODEGEN, the woven-site tier it must install).
+_TIERS = {
+    "compiled": ("0", "generic"),
+    "codegen": ("1", "codegen"),
 }
-
-
-def available_tiers():
-    tiers = ["compiled", "codegen"]
-    if monitor_supported():
-        tiers.append("monitor")
-    return tiers
 
 
 @contextlib.contextmanager
 def tier_env(tier):
-    codegen, monitor = _TIER_ENV[tier]
-    saved = {
-        name: os.environ.get(name)
-        for name in ("REPRO_AOP_CODEGEN", "REPRO_AOP_MONITOR")
-    }
-    os.environ["REPRO_AOP_CODEGEN"] = codegen
-    os.environ["REPRO_AOP_MONITOR"] = monitor
+    saved = os.environ.get("REPRO_AOP_CODEGEN")
+    os.environ["REPRO_AOP_CODEGEN"] = _TIERS[tier][0]
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_AOP_CODEGEN", None)
+        else:
+            os.environ["REPRO_AOP_CODEGEN"] = saved
 
 
 def time_call(fn, *, number):
@@ -127,10 +101,9 @@ def run_tier(tier, *, calls, top):
     weaver = WeaverRuntime()
     aspect = ObservationAspect()
     with tier_env(tier):
-        deployment = weaver.deploy(aspect, [Node])
+        handle = weaver.weave(Node, aspect)
     node = Node()
-    monitor_engaged = bool(deployment.monitor_sites)
-    engaged = monitor_engaged if tier == "monitor" else not monitor_engaged
+    engaged = [site.tier for site in weaver.woven_sites()] == [_TIERS[tier][1]]
     try:
         ns = time_call(node.render, number=calls)
         render = node.render
@@ -141,7 +114,7 @@ def run_tier(tier, *, calls, top):
         profiler.disable()
         return ns, engaged, profile_rows(profiler, top=top)
     finally:
-        weaver.undeploy(deployment)
+        handle.undeploy()
 
 
 def main(argv=None):
@@ -175,7 +148,7 @@ def main(argv=None):
     summary = [("plain", f"{plain_ns:.1f}", "—", "1.00x", "—")]
     profiles = []
     fallbacks = []
-    for tier in available_tiers():
+    for tier in _TIERS:
         ns, engaged, rows = run_tier(tier, calls=calls, top=options.top)
         if not engaged:
             fallbacks.append(tier)
@@ -197,11 +170,6 @@ def main(argv=None):
             title=f"Advised observation-only call by tier ({calls} calls)",
         )
     )
-    if not monitor_supported():
-        print(
-            "\nmonitor tier skipped: sys.monitoring needs python 3.12+ "
-            f"(running {sys.version.split()[0]})"
-        )
     if not options.smoke:
         for tier, rows in profiles:
             print()
@@ -212,11 +180,6 @@ def main(argv=None):
                     title=f"cProfile: {tier} tier",
                 )
             )
-            if tier == "monitor":
-                print(
-                    "(monitoring callbacks are invisible to cProfile; "
-                    "their cost lands in the advised method's self-time)"
-                )
     if fallbacks:
         print(
             "profile_hotpath FAILED: tier(s) did not engage: "

@@ -166,7 +166,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------- F1
     section("F1 - Figure 1: the weaving mechanism's overhead")
-    from repro.aop import Aspect, Weaver, before as before_advice
+    from repro.aop import Aspect, WeaverRuntime, before as before_advice
 
     class Probe:
         def step(self):
@@ -179,10 +179,9 @@ def main() -> None:
 
     probe = Probe()
     base_t, __ = clock(lambda: [probe.step() for __ in range(10_000)])
-    weaver = Weaver()
-    deployment = weaver.deploy(Noop(), [Probe])
+    handle = WeaverRuntime().weave(Probe, Noop())
     woven_call_t, __ = clock(lambda: [probe.step() for __ in range(10_000)])
-    weaver.undeploy(deployment)
+    handle.undeploy()
     print(
         f"\n10k calls: plain {base_t * 1e3:.1f} ms, "
         f"advised {woven_call_t * 1e3:.1f} ms "

@@ -28,10 +28,8 @@ introductions and a reversible runtime weaver — held as a first-class
 (``runtime.weave(xmlcore.parser.parse, Timing())``) — module globals are
 rebound on deploy and restored exactly on undeploy/rollback.
 
-The pre-runtime API (``Weaver``, free ``deploy``/``deploy_all``/
-``undeploy``, ``deployed``) still works as deprecation shims over
-:data:`default_runtime`; see :mod:`repro.aop.legacy` for the migration
-table.
+Several aspects that must go live together share one
+:meth:`WeaverRuntime.transaction`, one :meth:`DeploymentSet.add` each.
 """
 
 from .advice import Advice, AdviceKind, proceed, return_
@@ -47,7 +45,6 @@ from .analysis import (
     verify_wrapper_source,
 )
 from .codegen import CodegenCache, codegen_enabled
-from .monitor import MonitorBridge, monitor_enabled, monitor_supported
 from .aspect import (
     Aspect,
     AspectBuilder,
@@ -95,7 +92,6 @@ from .weaver import (
     ShadowIndex,
     method_shadows,
     module_shadows,
-    run_advice_chain,
     shadow_index,
 )
 from .runtime import (
@@ -105,14 +101,6 @@ from .runtime import (
     WeaverRuntime,
     WovenSite,
     default_runtime,
-)
-from .legacy import (
-    Weaver,
-    default_weaver,
-    deploy,
-    deploy_all,
-    deployed,
-    undeploy,
 )
 
 __all__ = [
@@ -137,14 +125,12 @@ __all__ = [
     "JoinPointKind",
     "JoinPointPool",
     "ModuleShadow",
-    "MonitorBridge",
     "PlanEntry",
     "Pointcut",
     "PointcutSyntaxError",
     "ProceedingJoinPoint",
     "ShadowIndex",
     "Weave",
-    "Weaver",
     "WeaverRuntime",
     "WeavingError",
     "WovenSite",
@@ -164,10 +150,6 @@ __all__ = [
     "current_stack",
     "declare_error",
     "default_runtime",
-    "default_weaver",
-    "deploy",
-    "deploy_all",
-    "deployed",
     "execution",
     "field_get",
     "field_set",
@@ -175,15 +157,11 @@ __all__ = [
     "introduce",
     "method_shadows",
     "module_shadows",
-    "monitor_enabled",
-    "monitor_supported",
     "parse_pointcut",
     "proceed",
     "return_",
-    "run_advice_chain",
     "shadow_index",
     "target",
-    "undeploy",
     "verify_codegen_templates",
     "verify_wrapper_source",
     "within",

@@ -6,7 +6,7 @@ audience with no error anywhere.  AspectJ answers this with compile-time
 ``Xlint`` diagnostics (``adviceDidNotMatch``, precedence warnings); this
 module is the equivalent for our weaver — an analyzer that computes the
 *would-be* weave plan from the same :class:`~repro.aop.weaver.ShadowIndex`
-scans :meth:`~repro.aop.runtime.WeaverRuntime.deploy` plans from, without
+scans :meth:`~repro.aop.runtime.WeaverRuntime.weave` plans from, without
 mutating a single class.
 
 Three analysis families, each yielding typed :class:`Diagnostic` records
@@ -35,14 +35,6 @@ with stable codes:
 - ``APL006 introduction-conflict`` — an introduction (without
   ``replace=True``) whose member name already exists on a matching
   target, or collides with an earlier introduction in the same plan;
-- ``APL007 monitor-tier-pinned`` (advisory) — observation-only,
-  residue-free advice that *could* dispatch from the zero-wrapper
-  ``sys.monitoring`` tier but is pinned to a wrapper tier by the plan
-  itself: an instance scope, a generator/inherited member, or stacking
-  above an earlier wrapper-tier deployment on the same shadow.
-  Environment gating (interpreter < 3.12, ``REPRO_AOP_MONITOR=0``) is
-  deliberately *not* flagged — it is not a property of the plan, and
-  diagnostics stay identical across the CI interpreter matrix;
 - ``APL008 generator-never-proceeds`` — generator advice
   (``@generator``, the aspectlib protocol) whose body can never yield
   ``proceed``: every advised call returns the generator's ``return_``
@@ -91,7 +83,6 @@ from dataclasses import dataclass
 from types import FunctionType
 from typing import Any, Iterable, Sequence
 
-from . import monitor as _monitor
 from .advice import Advice, AdviceKind
 from .aspect import Aspect
 from .codegen import (
@@ -177,7 +168,7 @@ class PlanEntry:
 
     The analyzer's unit of input — :func:`analyze_plan` takes a sequence
     of these in deployment order (later entries wrap earlier ones, like
-    sequential :meth:`~repro.aop.runtime.WeaverRuntime.deploy` calls).
+    sequential :meth:`~repro.aop.runtime.WeaverRuntime.weave` calls).
     """
 
     aspect: Aspect
@@ -234,7 +225,7 @@ def analyze_plan(
 ) -> list[Diagnostic]:
     """Compute the would-be weave plan for *entries* and lint it.
 
-    Mirrors :meth:`WeaverRuntime.deploy`'s planning — the same
+    Mirrors :meth:`WeaverRuntime.weave`'s planning — the same
     :class:`ShadowIndex` scans, the same ``matches_shadow`` calls over
     methods, registered fields and introduced members — but never touches
     a class.  Entries are analyzed in deployment order, so cross-entry
@@ -250,12 +241,8 @@ def analyze_plan(
     # cls -> member names introduced by earlier entries in this plan.
     introduced: dict[type, set[str]] = {}
     # cls -> function members introduced earlier (they are weavable
-    # shadows for this and later entries, exactly as in deploy()).
+    # shadows for this and later entries, exactly as in weave()).
     introduced_functions: dict[type, set[str]] = {}
-    # (entry position, cls, member) -> (aspect name, advice group): the
-    # per-shadow method-execution groups each entry would weave — the
-    # tier planner's unit of work, read back by the APL007 pass.
-    method_groups: dict[tuple[int, type, str], tuple[str, list[Advice]]] = {}
 
     for position, entry in enumerate(entries):
         aspect = entry.aspect
@@ -350,10 +337,6 @@ def analyze_plan(
                 chains.setdefault((cls, name, kind), []).append(
                     (position, aspect_name, item)
                 )
-                if kind is JoinPointKind.METHOD_EXECUTION:
-                    method_groups.setdefault(
-                        (position, cls, name), (aspect_name, [])
-                    )[1].append(item)
                 signature = _signature(cls, name)
                 if per_call is not None and signature in hot:
                     diags.append(
@@ -398,7 +381,6 @@ def analyze_plan(
                 )
 
     diags.extend(_lint_chains(chains))
-    diags.extend(_lint_monitor_pins(entries, method_groups, index))
     return diags
 
 
@@ -479,74 +461,6 @@ def _lint_chains(
     return diags
 
 
-def _lint_monitor_pins(
-    entries: Sequence[PlanEntry],
-    groups: dict[tuple[int, type, str], tuple[str, list[Advice]]],
-    index: ShadowIndex,
-) -> list[Diagnostic]:
-    """APL007: monitor-material advice the plan pins to a wrapper tier.
-
-    Walks each entry's per-shadow advice groups in deployment order,
-    mirroring :meth:`WeaverRuntime.deploy`'s tier planner: a group whose
-    advice is observation-only and residue-free would dispatch from
-    ``sys.monitoring`` with zero wrapper frames — unless the plan itself
-    forbids it.  Only *actionable plan* properties are flagged (instance
-    scope, stacking above a wrapper-tier group); shadow-shape obstacles
-    (generators, inherited members, defaulted parameters) are inherent
-    to the advised code and stay silent, and whether the host
-    interpreter actually has ``sys.monitoring`` is an environment
-    question the analyzer deliberately ignores, so findings are stable
-    across the CI interpreter matrix.
-    """
-    diags: list[Diagnostic] = []
-    # Shadows some earlier group claims with a wrapper: the tier planner
-    # refuses to monitor a shadow whose member is already a woven
-    # wrapper (the registration would fire beneath it out of order).
-    wrapper_below: set[tuple[type, str]] = set()
-    for (position, cls, name), (aspect_name, group) in groups.items():
-        site_key = (cls, name)
-        if _monitor.advice_obstacle(group) is not None:
-            wrapper_below.add(site_key)
-            continue
-        shadow = next((s for s in index.shadows(cls) if s.name == name), None)
-        if shadow is not None and _monitor.shadow_obstacle(shadow) is not None:
-            # The member's own shape (generator body, inherited code
-            # object, defaulted parameters, ...) rules the monitor tier
-            # out.  That is inherent to the advised code, not something
-            # reordering or rescoping the plan could fix, so it is not
-            # worth an advisory — but the group still installs a
-            # wrapper, which pins later groups on the same shadow.
-            wrapper_below.add(site_key)
-            continue
-        entry = entries[position]
-        if entry.scope is not None:
-            reason = "instance-scoped deployments dispatch through wrapper markers"
-        elif site_key in wrapper_below:
-            reason = (
-                "it stacks above an earlier wrapper-tier deployment "
-                "on the same shadow"
-            )
-        else:
-            continue  # takes the monitor tier wherever it is supported
-        wrapper_below.add(site_key)
-        signature = _signature(cls, name)
-        diags.append(
-            Diagnostic(
-                code="APL007",
-                name="monitor-tier-pinned",
-                severity=SEVERITY_ADVISORY,
-                message=(
-                    "observation-only static advice on "
-                    f"{signature} is eligible for the zero-wrapper "
-                    f"monitor tier but stays on a wrapper tier: {reason}"
-                ),
-                site=signature,
-                aspect=aspect_name,
-            )
-        )
-    return diags
-
-
 def analyze_deployment(
     aspects: Aspect | Iterable[Aspect],
     targets: Iterable[type],
@@ -556,12 +470,12 @@ def analyze_deployment(
     hot_shadows: Iterable[str] = DEFAULT_HOT_SHADOWS,
     index: ShadowIndex | None = None,
 ) -> list[Diagnostic]:
-    """Lint the deployment ``deploy(aspect, targets, ...)`` would perform.
+    """Lint the deployment ``weave(targets, aspect, ...)`` would perform.
 
     *aspects* is one aspect or a sequence (analyzed in deployment order,
     like sequential :meth:`~repro.aop.runtime.DeploymentSet.add` calls
     over the same targets); *instances* narrows every entry to the same
-    instance scope, exactly as ``deploy(..., instances=...)`` would.
+    instance scope, exactly as ``weave(..., instances=...)`` would.
     Nothing is woven — classes are only scanned.
     """
     if isinstance(aspects, Aspect):

@@ -12,19 +12,14 @@ containers converge on:
   *default* runtime, :data:`default_runtime`);
 - :meth:`WeaverRuntime.weave` — **the** deployment entry point: one
   polymorphic call accepting a class, a module, a module-level function
-  or a list of those, returning a context-managed :class:`Weave` handle
-  (the older ``deploy`` / ``deploy_all`` / ``DeploymentSet.add`` surface
-  survives as ``DeprecationWarning`` shims);
+  or a list of those, returning a context-managed :class:`Weave` handle;
 - :meth:`WeaverRuntime.transaction` — a :class:`DeploymentSet` handle that
-  batches several aspects atomically over one shadow scan per class, with
-  context-manager rollback and partial :meth:`~DeploymentSet.undeploy`;
+  batches several aspects atomically (one :meth:`~DeploymentSet.add` each)
+  over one shadow scan per class, with context-manager rollback and
+  partial :meth:`~DeploymentSet.undeploy`;
 - introspection — :meth:`WeaverRuntime.woven_sites`,
   :meth:`WeaverRuntime.deployment_stats` and :meth:`WeaverRuntime.stats`
   (surfaced on the command line as ``repro.tools aop inspect``).
-
-The deprecated process-global API (``Weaver``, free ``deploy`` /
-``deploy_all`` / ``undeploy``, the ``deployed`` context manager) lives in
-:mod:`repro.aop.legacy` as thin shims over :data:`default_runtime`.
 
 ::
 
@@ -45,7 +40,7 @@ from dataclasses import dataclass
 from types import FunctionType, ModuleType
 from typing import Any, Iterable
 
-from . import codegen, monitor
+from . import codegen
 from .advice import Advice
 from .aspect import Aspect
 from .errors import WeavingError
@@ -69,17 +64,6 @@ from .weaver import (
     make_module_wrapper,
     shadow_index as _default_shadow_index,
 )
-
-
-def _deprecated(old: str, new: str) -> None:
-    """Warn for the pre-``weave()`` deployment surface (stacklevel: caller)."""
-    import warnings
-
-    warnings.warn(
-        f"repro.aop.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class WeaverRuntime:
@@ -113,10 +97,6 @@ class WeaverRuntime:
         self._deployments: list[Deployment] = []
         # Monotonic weave-mutation counter; see the weave_epoch property.
         self._weave_epoch = 0
-        # The sys.monitoring bridge, created lazily on the first shadow
-        # the tier planner routes there — a runtime that never weaves
-        # monitor-eligible advice never claims a monitoring tool id.
-        self._monitor: "monitor.MonitorBridge | None" = None
 
     def __repr__(self) -> str:
         return f"<WeaverRuntime {self.name!r} ({len(self.deployments)} active)>"
@@ -146,7 +126,7 @@ class WeaverRuntime:
     def weave_epoch(self) -> int:
         """A monotonic counter of this runtime's weave mutations.
 
-        Advances on every successful :meth:`deploy` and :meth:`undeploy`
+        Advances on every successful deployment and :meth:`undeploy`
         — the only operations that change what this runtime's woven
         members compute — in lockstep with the
         :class:`~repro.aop.weaver._TokenBoard` stamps those operations
@@ -342,25 +322,7 @@ class WeaverRuntime:
 
             touched: set[Any] = set()
             marker_classes: set[type] = set()
-            # Tier planner: observation-only, residue-free, class-wide
-            # advice on a monitorable code object dispatches from
-            # sys.monitoring events — no wrapper member is installed at
-            # all.  Everything else (around/throwing advice, dynamic
-            # residue, instance scopes, tracking-only shadows, inherited
-            # or generator members) takes the wrapper tiers below, and
-            # the two compose freely on one class.
-            use_monitor = scope is None and monitor.monitor_enabled()
             for shadow, matching in method_plan:
-                if (
-                    use_monitor
-                    and matching
-                    and monitor.advice_obstacle(matching) is None
-                    and monitor.shadow_obstacle(shadow) is None
-                ):
-                    registration = self._monitor_bridge().attach(shadow, matching)
-                    if registration is not None:
-                        deployment.monitor_sites.append(registration)
-                        continue
                 if isinstance(shadow, ModuleShadow):
                     wrapper = make_module_wrapper(
                         shadow,
@@ -441,7 +403,6 @@ class WeaverRuntime:
                 require_match
                 and not deployment.members
                 and not deployment.introductions
-                and not deployment.monitor_sites
             ):
                 raise WeavingError(
                     f"aspect {type(aspect).__name__} matched nothing in "
@@ -464,11 +425,6 @@ class WeaverRuntime:
         self._deployments.append(deployment)
         return deployment
 
-    def _monitor_bridge(self) -> "monitor.MonitorBridge":
-        if self._monitor is None:
-            self._monitor = monitor.MonitorBridge(self.name, self._watchers)
-        return self._monitor
-
     def _make_method_wrapper(
         self, shadow, advice: list[Advice], scope: InstanceScope | None = None
     ):
@@ -478,31 +434,6 @@ class WeaverRuntime:
             watchers=self._watchers,
             codegen_cache=self._codegen_cache,
             scope=scope,
-        )
-
-    def deploy(
-        self,
-        aspect: Aspect,
-        targets: "Iterable[type | ModuleType]",
-        *,
-        fields: Iterable[str] = (),
-        require_match: bool = True,
-        instances: "Iterable[Any] | InstanceScope | None" = None,
-    ) -> Deployment:
-        """Deprecated: use :meth:`weave` (one surface for every target kind).
-
-        Same semantics as always — this shim forwards to the internal
-        engine — but new code should call ``runtime.weave(targets, aspect,
-        ...)``, which also accepts modules and module-level functions and
-        returns a context-managed handle.
-        """
-        _deprecated("WeaverRuntime.deploy()", "WeaverRuntime.weave()")
-        return self._deploy(
-            aspect,
-            targets,
-            fields=fields,
-            require_match=require_match,
-            instances=instances,
         )
 
     def weave(
@@ -574,7 +505,7 @@ class WeaverRuntime:
         matched = False
         try:
             if direct:
-                d = tx._add(
+                d = tx.add(
                     aspect,
                     direct,
                     fields=fields,
@@ -582,16 +513,16 @@ class WeaverRuntime:
                     instances=instances,
                     lint=lint,
                 )
-                matched |= bool(d.members or d.monitor_sites or d.introductions)
+                matched |= bool(d.members or d.introductions)
             for module, names in by_module.items():
-                d = tx._add(
+                d = tx.add(
                     aspect,
                     [module],
                     require_match=False,
                     members=frozenset(names),
                     lint=lint,
                 )
-                matched |= bool(d.members or d.monitor_sites or d.introductions)
+                matched |= bool(d.members or d.introductions)
             if require_match and not matched:
                 described = ", ".join(
                     [t.__name__ for t in direct]
@@ -621,47 +552,6 @@ class WeaverRuntime:
         — members and introductions, best-effort — when the block raises.
         """
         return DeploymentSet(self, targets, fields=fields)
-
-    def deploy_all(
-        self,
-        aspects: Iterable[Aspect],
-        targets: Iterable[type],
-        *,
-        fields: Iterable[str] = (),
-        require_match: bool = True,
-    ) -> list[Deployment]:
-        """Deprecated: use :meth:`weave` (or :meth:`transaction` directly)."""
-        _deprecated("WeaverRuntime.deploy_all()", "WeaverRuntime.weave()")
-        return self._deploy_all(
-            aspects, targets, fields=fields, require_match=require_match
-        )
-
-    def _deploy_all(
-        self,
-        aspects: Iterable[Aspect],
-        targets: Iterable[type],
-        *,
-        fields: Iterable[str] = (),
-        require_match: bool = True,
-    ) -> list[Deployment]:
-        """Deploy several aspects over the same targets, in order.
-
-        Semantically identical to sequential deploys — later aspects wrap
-        earlier ones, and the batch unwinds LIFO like any other
-        deployments — but the whole batch runs through one
-        :class:`DeploymentSet`, planning from **one** shadow scan per
-        class.  All-or-nothing: if a later aspect's deploy raises (declare
-        error, pointcut typo with *require_match*, ...), the aspects
-        already installed are rolled back before the exception propagates.
-        """
-        tx = self.transaction(targets, fields=fields)
-        try:
-            for aspect in aspects:
-                tx._add(aspect, require_match=require_match)
-        except BaseException:
-            tx.rollback()
-            raise
-        return tx.commit()
 
     def undeploy(self, deployment: Deployment) -> None:
         """Reverse one deployment (most-recent-first when they overlap)."""
@@ -698,9 +588,6 @@ class WeaverRuntime:
                 index.restore_after_revert(
                     cls, snapshot, woven_token=woven_token, pre_token=pre_token
                 )
-        for registration in reversed(deployment.monitor_sites):
-            registration.release()
-        deployment.monitor_sites.clear()
         _release_marker_state(deployment)
         if deployment._tracks_cflow:
             watchers.unwatch()
@@ -736,17 +623,6 @@ class WeaverRuntime:
             for member in deployment.members:
                 sites.append(
                     _describe_member(member, aspect_name, position, deployment.scope)
-                )
-            for registration in deployment.monitor_sites:
-                sites.append(
-                    WovenSite(
-                        cls=registration.cls,
-                        member=registration.name,
-                        kind="method",
-                        tier="monitor",
-                        aspect=aspect_name,
-                        deployment_index=position,
-                    )
                 )
             for applied in deployment.introductions:
                 sites.append(
@@ -792,7 +668,6 @@ class WeaverRuntime:
             active=deployment.active,
             method_members=method_members,
             field_members=field_members,
-            monitor_members=len(deployment.monitor_sites),
             introductions=len(deployment.introductions),
             codegen_sources=codegen_sources,
             pools=pooled,
@@ -837,18 +712,6 @@ class WeaverRuntime:
             "pools": {"count": pools, "free_joinpoints": pool_free},
             "cflow_watchers": self._watchers.count,
             "codegen_cache": self._codegen_cache.stats(),
-            "monitor": (
-                self._monitor.stats()
-                if self._monitor is not None
-                else {
-                    "supported": monitor.monitor_supported(),
-                    "enabled": monitor.monitor_enabled(),
-                    "tool_id": None,
-                    "code_objects": 0,
-                    "stacked_entries": 0,
-                    "in_flight": 0,
-                }
-            ),
         }
 
 
@@ -862,7 +725,7 @@ class WovenSite:
     member: str
     #: ``"method"``, ``"field"`` or ``"introduction"``.
     kind: str
-    #: Dispatch tier: ``"monitor"``, ``"codegen"``, ``"generic"``,
+    #: Dispatch tier: ``"codegen"``, ``"generic"``,
     #: ``"tracking"``, ``"field-codegen"``, ``"field-generic"`` or
     #: ``"introduction"``.
     tier: str
@@ -898,8 +761,6 @@ class DeploymentStats:
     pooled_joinpoints_free: int
     #: Live instance count of the deployment's scope (None = class-wide).
     scope_instances: int | None = None
-    #: Shadows advised through sys.monitoring (no installed member).
-    monitor_members: int = 0
 
 
 def _describe_member(
@@ -1001,7 +862,7 @@ class _SetEntry:
 class DeploymentSet:
     """A transactional batch of deployments on one runtime.
 
-    Subsumes the old ``deploy_all``: every :meth:`add` weaves immediately
+    Every :meth:`add` weaves immediately
     but plans through one shared scan view (one real shadow scan per class
     for the whole set, however many aspects stack), and the set as a whole
     is the unit of atomicity —
@@ -1058,42 +919,22 @@ class DeploymentSet:
         require_match: bool = True,
         instances: "Iterable[Any] | InstanceScope | None" = None,
         lint: str | None = None,
-    ) -> Deployment:
-        """Deprecated: use :meth:`WeaverRuntime.weave` (one call per aspect).
-
-        A weave's constituent deployments already share a transaction;
-        sets that batch *several* aspects atomically keep working through
-        this shim unchanged.
-        """
-        _deprecated("DeploymentSet.add()", "WeaverRuntime.weave()")
-        return self._add(
-            aspect,
-            targets,
-            fields=fields,
-            require_match=require_match,
-            instances=instances,
-            lint=lint,
-        )
-
-    def _add(
-        self,
-        aspect: Aspect,
-        targets: "Iterable[type | ModuleType] | None" = None,
-        *,
-        fields: Iterable[str] | None = None,
-        require_match: bool = True,
-        instances: "Iterable[Any] | InstanceScope | None" = None,
-        lint: str | None = None,
         members: "frozenset[str] | None" = None,
     ) -> Deployment:
         """Weave one more aspect into the set (immediately, but revocably).
 
+        The one public call for several aspects in one transaction
+        (:meth:`WeaverRuntime.weave` takes a single aspect).  Later aspects
+        wrap earlier ones exactly as sequential weaves would.
         ``targets``/``fields`` default to the set's; the deployment plans
         through the set's shared scan view, so stacking N aspects over the
         same classes costs one real scan per class total.  ``instances``
         narrows the deployment to an instance scope exactly as in
-        :meth:`WeaverRuntime.deploy`; a partial :meth:`undeploy` re-weaves
+        :meth:`WeaverRuntime.weave`; a partial :meth:`undeploy` re-weaves
         surviving scoped deployments with their original scope objects.
+        ``members`` restricts planning to the named shadows (how
+        :meth:`WeaverRuntime.weave` narrows a module to the functions it
+        was given).
 
         ``lint`` opts this add into the static analyzer
         (:mod:`repro.aop.analysis`) *before* anything is woven:
@@ -1236,10 +1077,9 @@ class DeploymentSet:
             self.commit()
 
 
-#: The process-default runtime.  The deprecated free functions and every
-#: legacy ``Weaver()`` operate on this runtime's state, which is why the
-#: seed's cross-weaver semantics (shared scan cache, cross-deployment
-#: cflow observation) still hold for them.
+#: The process-default runtime: it owns the module-level shadow index,
+#: cflow-watcher count and codegen cache of :mod:`repro.aop.weaver` and
+#: :mod:`repro.aop.codegen`.
 default_runtime = WeaverRuntime(
     "default",
     shadow_index=_default_shadow_index,

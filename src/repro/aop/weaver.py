@@ -13,9 +13,7 @@ deployment needs to rewrite classes reversibly:
 
 The *policy* layer — scoped :class:`~repro.aop.runtime.WeaverRuntime`
 instances, transactional :class:`~repro.aop.runtime.DeploymentSet` batches
-and introspection — lives in :mod:`repro.aop.runtime`; the deprecated
-process-global API (``Weaver``, ``deploy``/``deploy_all``/``undeploy``,
-``deployed``) lives in :mod:`repro.aop.legacy`.
+and introspection — lives in :mod:`repro.aop.runtime`.
 
 The hot path is *code-generated at deployment time*: each woven method
 shadow gets a specialized closure (see :mod:`repro.aop.codegen`) that
@@ -60,16 +58,15 @@ _MISSING = object()
 class CompiledChain:
     """An advice chain partitioned by kind once, executed many times.
 
-    The legacy :func:`run_advice_chain` re-partitioned the advice list into
-    before/around/after buckets on *every* invocation; a compiled chain does
-    that once (at deployment time) and stores each bucket pre-ordered, so
-    calling it only pays for the around-closure nesting and the advice
+    The advice list is partitioned into before/around/after buckets once
+    (at deployment time) and each bucket is stored pre-ordered, so calling
+    the chain only pays for the around-closure nesting and the advice
     bodies themselves.
 
-    Semantics are identical to the per-call path: before advice runs
-    outermost-first, after advice innermost-first (reversed), around advice
-    nests outermost wrapping the rest, and the exception path runs
-    after-throwing then after (finally) before re-raising.
+    Before advice runs outermost-first, after advice innermost-first
+    (reversed), around advice nests outermost wrapping the rest, and the
+    exception path runs after-throwing then after (finally) before
+    re-raising.
     """
 
     __slots__ = (
@@ -121,19 +118,6 @@ class CompiledChain:
         for item in self._finallys_rev:
             item.invoke(jp)
         return result
-
-
-def run_advice_chain(
-    advice: list[Advice], jp: JoinPoint, proceed: Callable[..., Any]
-) -> Any:
-    """Execute *advice* around *proceed* with AspectJ ordering semantics.
-
-    Advice is assumed pre-sorted by precedence (lower ``order`` first =
-    outermost).  This is the legacy one-shot entry point; it compiles a
-    throwaway :class:`CompiledChain` per call.  Woven shadows use a chain
-    compiled once at deployment time instead.
-    """
-    return CompiledChain(advice)(jp, proceed)
 
 
 def _wrap_around(advice: Advice, jp: JoinPoint, inner: Callable[..., Any]):
@@ -496,9 +480,9 @@ class ShadowIndex:
         _token_board.clear()
 
 
-#: The default runtime's shadow index.  Every legacy ``Weaver()`` plans
-#: through this one (the seed had a single process-wide index); scoped
-#: :class:`~repro.aop.runtime.WeaverRuntime` instances own their own.
+#: The default runtime's shadow index (the seed had a single process-wide
+#: index); other :class:`~repro.aop.runtime.WeaverRuntime` instances own
+#: their own.
 shadow_index = ShadowIndex()
 
 
@@ -621,39 +605,22 @@ class _WatcherCount:
     staying frame-correct under cflow observation.
     """
 
-    __slots__ = ("count", "_listeners")
+    __slots__ = ("count",)
 
     def __init__(self) -> None:
         self.count = 0
-        #: Callbacks fired on 0↔1 transitions — the monitor tier re-arms
-        #: its per-code PY_RETURN events here (see MonitorBridge._arm).
-        self._listeners: list = []
-
-    def subscribe(self, callback) -> None:
-        self._listeners.append(callback)
-
-    def unsubscribe(self, callback) -> None:
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
-
-    def _notify(self) -> None:
-        _marker_defaults.refresh(self)
-        for callback in list(self._listeners):
-            callback()
 
     def watch(self) -> None:
         """A cflow-carrying deployment went live."""
         self.count += 1
         if self.count == 1:
-            self._notify()
+            _marker_defaults.refresh(self)
 
     def unwatch(self) -> None:
         """A cflow-carrying deployment unwound."""
         self.count -= 1
         if self.count == 0:
-            self._notify()
+            _marker_defaults.refresh(self)
 
 
 class _MarkerDefaults:
@@ -718,8 +685,8 @@ class _MarkerDefaults:
 _marker_defaults = _MarkerDefaults()
 
 
-#: The default runtime's cflow-watcher count: active deployments — across
-#: every legacy ``Weaver`` — whose advice carries a ``cflow()`` /
+#: The default runtime's cflow-watcher count: its active deployments
+#: whose advice carries a ``cflow()`` /
 #: ``cflowbelow()`` residue.  The seed weaver pushed a join point frame on
 #: *every* woven shadow, which is what made cflow residues from one
 #: deployment observe shadows woven by another.  Static fast-path wrappers
@@ -1064,10 +1031,6 @@ class Deployment:
     aspect: Aspect
     members: list[_WovenMember] = field(default_factory=list)
     introductions: list[AppliedIntroduction] = field(default_factory=list)
-    #: Monitor-tier registrations (:class:`~repro.aop.monitor.
-    #: MonitorRegistration`): shadows this deployment advises through
-    #: ``sys.monitoring`` events instead of an installed wrapper member.
-    monitor_sites: list = field(default_factory=list)
     active: bool = True
     #: The instance scope this deployment is narrowed to (None = class-wide).
     scope: InstanceScope | None = None
@@ -1088,10 +1051,7 @@ class Deployment:
 
     def woven_signatures(self) -> list[str]:
         """Human-readable list of what this deployment touched."""
-        return sorted(
-            [f"{m.cls.__name__}.{m.name}" for m in self.members]
-            + [r.signature for r in self.monitor_sites]
-        )
+        return sorted(f"{m.cls.__name__}.{m.name}" for m in self.members)
 
 
 def _release_marker_state(deployment: Deployment) -> None:
@@ -1134,12 +1094,6 @@ def _rollback_partial_weave(deployment: Deployment, index: ShadowIndex) -> None:
             applied.revert()
         except Exception:
             pass
-    for registration in reversed(deployment.monitor_sites):
-        try:
-            registration.release()
-        except Exception:
-            pass
-    deployment.monitor_sites.clear()
     deployment.members.clear()
     deployment.introductions.clear()
     deployment._cache_state.clear()

@@ -97,7 +97,7 @@ def build_woven_site_stacked(
     renderer = PageRenderer(fixture)
     with weaver.transaction([PageRenderer]) as tx:
         for spec in specs:
-            tx._add(NavigationAspect(spec, fixture), lint=lint)
+            tx.add(NavigationAspect(spec, fixture), lint=lint)
         try:
             return renderer.build_site()
         finally:

@@ -33,7 +33,7 @@ eviction) and a live management surface
 from .agent import CallableProvider, PageAnchor, PageProvider, PageView, UserAgent
 from .asgi import AsgiHttpServer, AsgiNavigationApp, serve_async
 from .audience import DEFAULT_AUDIENCES, AudienceBundle
-from .cache import CachedSkeleton, PageCache, page_cache_enabled
+from .cache import CachedSkeleton, PageCache
 from .config import ServingConfig
 from .errors import NavigationError
 from .history import History
@@ -77,7 +77,6 @@ __all__ = [
     "SessionTier",
     "UserAgent",
     "normalize_page_uri",
-    "page_cache_enabled",
     "serve",
     "serve_async",
 ]

@@ -16,32 +16,15 @@ bump, never a scan.
 
 One :class:`PageCache` per audience (the audience is the cache instance;
 the key inside it is ``(page_uri, epoch)``), LRU-bounded, counters for
-``/-/stats``.  ``REPRO_PAGE_CACHE=0`` switches the whole tier off,
-mirroring the ``REPRO_AOP_CODEGEN`` escape hatch.
+``/-/stats``.  ``ServingConfig(cache_enabled=False)`` (``serve
+--no-cache``) switches the whole tier off.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-
-
-def page_cache_enabled() -> bool:
-    """Whether the serving layer caches page skeletons (default: yes).
-
-    Controlled by the ``REPRO_PAGE_CACHE`` environment variable; ``0``,
-    ``false``, ``no`` and ``off`` disable it.  Read when an
-    :class:`~repro.navigation.serving.AudienceServer` is constructed, so
-    flipping it affects subsequently-built servers, never live caches.
-    """
-    return os.environ.get("REPRO_PAGE_CACHE", "1").strip().lower() not in {
-        "0",
-        "false",
-        "no",
-        "off",
-    }
 
 
 @dataclass(frozen=True)

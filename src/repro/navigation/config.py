@@ -17,17 +17,12 @@ field                       consumed by
 ``max_sessions``            ``NavigationApp`` (live-session cap)
 ``breadcrumb_limit``        ``NavigationApp`` (per-session trail bound)
 ==========================  ================================================
-
-The old per-layer keyword arguments still work as deprecated shims (see
-the constructors), so existing callers keep running while they migrate.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-
-from .cache import page_cache_enabled
 
 #: Valid ``lint`` modes (``None`` disables the static weave-plan gate).
 LINT_MODES = (None, "warn", "error")
@@ -37,9 +32,8 @@ LINT_MODES = (None, "warn", "error")
 class ServingConfig:
     """Every serving-stack policy knob, validated once at construction.
 
-    ``cache_enabled`` is the *configuration* switch; the effective state
-    also honours the ``REPRO_PAGE_CACHE`` environment escape hatch — see
-    :meth:`cache_active`.  ``session_idle_timeout=None`` disables idle
+    ``cache_enabled`` switches the page-cache tier (``serve --no-cache``
+    clears it).  ``session_idle_timeout=None`` disables idle
     eviction entirely.  ``max_sessions`` bounds memory: a live session is
     plain data (its trail and bookkeeping, well under 1 KiB at the
     default trail length), so the default cap costs tens of MiB at most.
@@ -65,15 +59,6 @@ class ServingConfig:
             )
         if self.cache_pages < 1:
             raise ValueError("cache_pages must be >= 1")
-
-    def cache_active(self) -> bool:
-        """Whether servers built from this config cache page skeletons.
-
-        Both switches must agree: the config's ``cache_enabled`` *and*
-        the ``REPRO_PAGE_CACHE`` environment flag (the operational
-        escape hatch that needs no code change).
-        """
-        return self.cache_enabled and page_cache_enabled()
 
     def replace(self, **changes: object) -> "ServingConfig":
         """A copy with *changes* applied (re-validated)."""

@@ -58,10 +58,8 @@ from .cache import CachedSkeleton
 from .config import ServingConfig
 from .errors import NavigationError
 from .serving import (
-    _UNSET,
     AudienceServer,
     SessionTier,
-    _deprecated,
     build_node_map,
     resolve_page_target,
 )
@@ -156,8 +154,7 @@ class NavigationApp:
     ``max_sessions`` bounds the live sessions, so a client that never
     replays its cookie cannot grow memory without limit; at the cap
     (after evicting every idle session) new sessions are refused with
-    ``503``.  The old per-knob keyword arguments still work as
-    deprecated shims.  ``clock`` is injectable for tests; it must not
+    ``503``.  ``clock`` is injectable for tests; it must not
     run backwards, since eviction walks sessions in last-seen order.
 
     ``GET`` responses assemble from an audience-level skeleton plus the
@@ -174,9 +171,6 @@ class NavigationApp:
         server: AudienceServer,
         config: ServingConfig | None = None,
         *,
-        session_idle_timeout: Any = _UNSET,
-        max_sessions: Any = _UNSET,
-        breadcrumb_limit: Any = _UNSET,
         clock: Callable[[], float] = time.monotonic,
     ):
         from repro.core import PageRenderer
@@ -184,17 +178,6 @@ class NavigationApp:
         self._server = server
         if config is None:
             config = server.config
-        for name, value in (
-            ("session_idle_timeout", session_idle_timeout),
-            ("max_sessions", max_sessions),
-            ("breadcrumb_limit", breadcrumb_limit),
-        ):
-            if value is not _UNSET:
-                _deprecated(
-                    f"NavigationApp({name}=...)",
-                    f"NavigationApp(config=ServingConfig({name}=...))",
-                )
-                config = config.replace(**{name: value})
         self._config = config
         self._idle_timeout = config.session_idle_timeout
         self._max_sessions = config.max_sessions
@@ -220,7 +203,7 @@ class NavigationApp:
 
     @property
     def config(self) -> ServingConfig:
-        """The effective serving configuration (shims already folded in)."""
+        """The effective serving configuration."""
         return self._config
 
     # -- the WSGI surface ------------------------------------------------------
@@ -723,7 +706,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8000,
     config: ServingConfig | None = None,
-    session_idle_timeout: Any = _UNSET,
     quiet: bool = True,
     ready: Callable[[WSGIServer], None] | None = None,
     on_drain: Callable[[NavigationApp], None] | None = None,
@@ -745,12 +727,6 @@ def serve(
     """
     if config is None:
         config = ServingConfig()
-    if session_idle_timeout is not _UNSET:
-        _deprecated(
-            "serve(session_idle_timeout=...)",
-            "serve(config=ServingConfig(session_idle_timeout=...))",
-        )
-        config = config.replace(session_idle_timeout=session_idle_timeout)
     bundles = list(bundles) if bundles is not None else list(DEFAULT_AUDIENCES)
     with AudienceServer(fixture, bundles, config=config) as server:
         app = NavigationApp(server)

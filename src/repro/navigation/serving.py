@@ -5,7 +5,7 @@ untouched base program; the production question is serving *several
 audiences at once* from one live process.  Class-level weaving cannot do
 that — two differently-configured navigation stacks woven into the shared
 renderer class would both fire on every page.  Instance-scoped
-deployments (:meth:`repro.aop.WeaverRuntime.deploy` with ``instances=``)
+deployments (:meth:`repro.aop.WeaverRuntime.weave` with ``instances=``)
 can: every audience gets its own renderer *instance*, its navigation
 aspects are scoped to exactly that instance, and all the deployments stay
 live side by side in **one** runtime woven from **one** class scan.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import posixpath
 import threading
-import warnings
 from typing import Any, Iterable, Mapping
 from urllib.parse import unquote
 
@@ -47,19 +46,6 @@ from .cache import PageCache
 from .config import ServingConfig
 from .errors import NavigationError
 from .session import BreadcrumbTrail, SessionRecord
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in the
-#: deprecated keyword shims.
-_UNSET: Any = object()
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.navigation.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def normalize_page_uri(uri: str) -> str:
     """The site-relative normal form providers key their page maps by.
@@ -197,27 +183,17 @@ class AudienceServer:
         specs_by_access: Mapping[str, Any] | None = None,
         runtime: WeaverRuntime | None = None,
         config: ServingConfig | None = None,
-        lint: Any = _UNSET,
     ):
         from repro.core import PageRenderer
 
         self._fixture = fixture
         if config is None:
             config = ServingConfig()
-        if lint is not _UNSET:
-            _deprecated(
-                "AudienceServer(lint=...)",
-                "AudienceServer(config=ServingConfig(lint=...))",
-            )
-            config = config.replace(lint=lint)
         self._config = config
         # None, "warn" or "error": passed to every DeploymentSet.add this
         # server performs, so a serving process can refuse
         # statically-broken weaves up front.
         self._lint = config.lint
-        # Read once: flipping REPRO_PAGE_CACHE affects servers built
-        # afterwards, never this one's live caches.
-        self._cache_active = config.cache_active()
         self._specs: dict[str, Any] = dict(specs_by_access or {})
         self._runtime = (
             runtime if runtime is not None else WeaverRuntime("audience-server")
@@ -248,7 +224,7 @@ class AudienceServer:
                 self._weave(bundle)
                 self._epochs[bundle.name] = self._runtime.weave_epoch
                 self._caches[bundle.name] = (
-                    PageCache(config.cache_pages) if self._cache_active else None
+                    PageCache(config.cache_pages) if config.cache_enabled else None
                 )
         except BaseException:
             self._tx.rollback()
@@ -278,7 +254,7 @@ class AudienceServer:
         added: list[Any] = []
         try:
             for aspect in aspects:
-                self._tx._add(aspect, instances=scope, lint=self._lint)
+                self._tx.add(aspect, instances=scope, lint=self._lint)
                 added.append(aspect)
         except BaseException:
             # Unwind the partial stack so the audience is never left with
@@ -398,12 +374,8 @@ class AudienceServer:
         return self._epochs[audience]
 
     def page_cache(self, audience: str) -> PageCache | None:
-        """The audience's skeleton cache, or ``None`` when the tier is off.
-
-        Off when the server's config disables it or the
-        ``REPRO_PAGE_CACHE`` environment escape hatch was set at
-        construction time.
-        """
+        """The audience's skeleton cache, or ``None`` when the server's
+        config disables the tier (``cache_enabled=False``)."""
         self._require(audience)
         return self._caches.get(audience)
 

@@ -143,16 +143,6 @@ def _print_runtime_stats(runtime: WeaverRuntime) -> None:
         f"{cache['compile_hits']} shape hits, "
         f"{cache['wrappers_built']} wrappers built"
     )
-    mon = stats["monitor"]
-    if mon["supported"]:
-        tool = mon["tool_id"] if mon["tool_id"] is not None else "-"
-        print(
-            f"monitor tier: {'on' if mon['enabled'] else 'off'}, "
-            f"tool id {tool}, {mon['code_objects']} monitored code objects "
-            f"({mon['stacked_entries']} stacked deployments)"
-        )
-    else:
-        print("monitor tier: unsupported (needs sys.monitoring, CPython 3.12+)")
 
 
 def _print_source(runtime: WeaverRuntime, signature: str) -> None:
@@ -190,15 +180,13 @@ def cmd_aop_inspect(args: argparse.Namespace) -> int:
     runtime = WeaverRuntime("aop-inspect")
     with runtime.transaction([PageRenderer]) as tx:
         for access in accesses:
-            tx._add(NavigationAspect(default_museum_spec(access), fixture))
+            tx.add(NavigationAspect(default_museum_spec(access), fixture))
         title = " + ".join(accesses)
         if args.modules:
             import repro.xlink.resolver as resolver_module
             import repro.xmlcore.parser as parser_module
 
-            tx._add(
-                _module_tracing_aspect(), [parser_module, resolver_module]
-            )
+            tx.add(_module_tracing_aspect(), [parser_module, resolver_module])
             title += " + module tracing"
         try:
             _print_woven_sites(runtime, f"Woven sites: {title}")
@@ -456,7 +444,7 @@ def _snapshot_writer(args: argparse.Namespace):
 
 
 def _banner(args: argparse.Namespace, config, host: str, port: int, front: str):
-    cache = "on" if config.cache_active() else "off"
+    cache = "on" if config.cache_enabled else "off"
     print(
         f"serving audiences [{args.audiences}] on http://{host}:{port}/ "
         f"({front}, session idle timeout: {args.session_ttl:g}s, "

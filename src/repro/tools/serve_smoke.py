@@ -21,10 +21,12 @@ Run under both wrapper tiers in CI (and once with the page cache off)::
 
     REPRO_AOP_CODEGEN=1 python -m repro.tools.serve_smoke
     REPRO_AOP_CODEGEN=0 python -m repro.tools.serve_smoke
-    REPRO_PAGE_CACHE=0 python -m repro.tools.serve_smoke
+    python -m repro.tools.serve_smoke --no-cache
 
 Exit status 0 on success; any failure prints the offending evidence and
-exits 1.  ``--requests`` trims the storm for quick local runs.
+exits 1.  ``--requests`` trims the storm for quick local runs;
+``--no-cache`` passes ``--no-cache`` to the child's ``serve`` and checks
+that every page reports the cache off.
 """
 
 from __future__ import annotations
@@ -146,8 +148,11 @@ def _storm(base: str, requests_per_session: int) -> None:
         raise SmokeFailure(f"storm failed: {errors[0]}") from errors[0]
 
 
-def drive(base: str, requests_per_session: int) -> None:
-    """The full scenario against a live server at *base*."""
+def drive(base: str, requests_per_session: int, *, cache: bool = True) -> None:
+    """The full scenario against a live server at *base*.
+
+    *cache* says whether the child serves with its page cache on.
+    """
     # Phase 0: the front door and both audiences' distinct stacks.
     status, front = _get(base, "/")
     _check(status == 200 and "visitor" in front, "front door broken")
@@ -214,9 +219,12 @@ def drive(base: str, requests_per_session: int) -> None:
     # reconfigure re-renders (never a stale page), and a cached skeleton
     # carries only the requesting session's breadcrumb fragment.
     cache_stats = stats["audiences"]["visitor"]["cache"]
-    if not cache_stats["enabled"]:
-        # The REPRO_PAGE_CACHE=0 leg: every response is a full render
-        # and says so.
+    _check(
+        cache_stats["enabled"] == cache,
+        f"page cache enabled={cache_stats['enabled']}, expected {cache}",
+    )
+    if not cache:
+        # The --no-cache leg: every response is a full render and says so.
         status, headers, _ = _get_full(base, f"/visitor/{GUITAR}", "smoke-v1")
         _check(
             headers.get("X-Repro-Cache") == "off",
@@ -295,6 +303,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--audiences", default="visitor,curator", help="bundles for the child"
     )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="serve the child with its page cache off",
+    )
     options = parser.parse_args(argv)
 
     child = subprocess.Popen(
@@ -307,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             "0",
             "--audiences",
             options.audiences,
+            *(["--no-cache"] if options.no_cache else []),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -326,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         base = f"http://{match.group(1)}:{match.group(2)}"
         print(f"serve-smoke: child {child.pid} serving at {base}")
-        drive(base, options.requests)
+        drive(base, options.requests, cache=not options.no_cache)
     except SmokeFailure as failure:
         print(f"serve-smoke FAILED: {failure}", file=sys.stderr)
         child.kill()

@@ -307,59 +307,6 @@ class TestIntroductionConflict:
         assert diags[0].site == "Renderer.glow"
 
 
-# -- monitor-tier pins: APL007 -------------------------------------------------
-
-
-class Panel:
-    # No defaulted parameters: the shadow shape itself is monitor-clean,
-    # so only *plan* properties can pin these groups to a wrapper tier.
-    def show(self, frame):
-        return ("show", frame)
-
-
-class PanelObserver(Aspect):
-    @before("execution(Panel.show)")
-    def note(self, jp):
-        pass
-
-
-class PanelWrapper(Aspect):
-    # Explicit order keeps APL003 (ambiguous cross-aspect order) quiet;
-    # these fixtures isolate the APL007 pins.
-    @around("execution(Panel.show)", order=-1)
-    def wrap(self, jp):
-        return jp.proceed()
-
-
-class TestMonitorTierPinned:
-    def test_clean_observation_plan_is_silent(self, codegen_tier):
-        assert analyze_deployment(PanelObserver(), [Panel]) == []
-
-    def test_instance_scope_pins(self, codegen_tier):
-        diags = analyze_deployment(
-            PanelObserver(), [Panel], instances=[Panel()]
-        )
-        assert codes(diags) == ["APL007"]
-        assert diags[0].severity == "advisory"
-        assert diags[0].site == "Panel.show"
-        assert "instance-scoped" in diags[0].message
-
-    def test_stacking_above_a_wrapper_group_pins(self, codegen_tier):
-        diags = analyze_deployment([PanelWrapper(), PanelObserver()], [Panel])
-        assert codes(diags) == ["APL007"]
-        assert "stacks above an earlier wrapper-tier" in diags[0].message
-
-    def test_reversed_order_unpins(self, codegen_tier):
-        # Observation first: it takes the monitor tier; the around
-        # wrapper stacks above it without conflict.
-        assert analyze_deployment([PanelObserver(), PanelWrapper()], [Panel]) == []
-
-    def test_shadow_shape_obstacles_stay_silent(self, codegen_tier):
-        # Renderer.render has a defaulted parameter — inherent to the
-        # advised code, not an actionable plan property, so no advisory.
-        assert analyze_deployment(BeforeAspect(), [Renderer]) == []
-
-
 # -- concurrency lint: APL201 --------------------------------------------------
 
 HITS: dict = {}

@@ -5,7 +5,7 @@ runs against both wrapper tiers); this module pins what is *specific* to
 the codegen tier — that wrappers really are generated, that the per-shadow
 join point pool reuses instances without leaking state between calls or
 across undeploy, that class-settled residues are memoized per runtime
-class instead of re-evaluated per call, and that ``deploy_all`` plans a
+class instead of re-evaluated per call, and that a transaction plans a
 whole batch from one shadow scan per class.
 """
 
@@ -15,12 +15,12 @@ from repro.aop import (
     Aspect,
     JoinPointKind,
     JoinPointPool,
-    Weaver,
+    WeaverRuntime,
     after_returning,
     around,
     before,
     codegen_enabled,
-    deployed,
+    default_runtime,
     execution,
     target,
 )
@@ -31,10 +31,6 @@ import repro.aop.weaver as weaver_mod
 @pytest.fixture(autouse=True)
 def _codegen_on(monkeypatch):
     monkeypatch.setenv("REPRO_AOP_CODEGEN", "1")
-    # This suite asserts the *generated wrapper* surface (sources, pools,
-    # metadata); the monitor tier — auto-on under 3.12+ — would intercept
-    # eligible observation advice with no wrapper to inspect at all.
-    monkeypatch.setenv("REPRO_AOP_MONITOR", "0")
 
 
 def fresh_target():
@@ -62,11 +58,11 @@ class TestEscapeHatch:
             def note(self, jp):
                 pass
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             assert hasattr(Target.__dict__["op"], "__codegen_source__")
             assert hasattr(Target.__dict__["op"], "__joinpoint_pool__")
         monkeypatch.setenv("REPRO_AOP_CODEGEN", "0")
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             assert not hasattr(Target.__dict__["op"], "__codegen_source__")
         assert not hasattr(Target.__dict__["op"], "__woven__")
 
@@ -81,7 +77,7 @@ class TestJoinPointPooling:
             def note(self, jp):
                 seen.append((id(jp), jp.args, dict(jp.kwargs)))
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             t = Target()
             t.op(1)
             t.op(2, x=3)
@@ -99,7 +95,7 @@ class TestJoinPointPooling:
             def keep(self, jp):
                 captured.append(jp)
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             t = Target()
             t.op("payload", key="value")
             jp = captured[0]
@@ -121,7 +117,7 @@ class TestJoinPointPooling:
                 seen.append(jp.value)
                 jp.value = object()  # anything advice parks on the slot
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             t = Target()
             t.op()
             t.op()
@@ -143,7 +139,7 @@ class TestJoinPointPooling:
             def note(self, jp):
                 live.append((id(jp), jp.args))
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             assert Target().op(2) == 2
         identities = [entry[0] for entry in live]
         assert len(set(identities)) == 3  # nesting cannot share an instance
@@ -158,12 +154,12 @@ class TestJoinPointPooling:
             def note(self, jp):
                 seen.append(jp.args)
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Target])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Target], A()).deployments[0]
         Target().op("first")
         weaver.undeploy(deployment)
         assert Target().op("plain") == (("plain",), {})  # original restored
-        deployment = weaver.deploy(A(), [Target])
+        deployment = weaver.weave([Target], A()).deployments[0]
         Target().op("second")
         weaver.undeploy(deployment)
         assert seen == [("first",), ("second",)]
@@ -201,7 +197,7 @@ class TestJoinPointPooling:
             def keep(self, jp):
                 stacks.append(current_stack())
 
-        with deployed(A(), [Node]):
+        with default_runtime.weave([Node], A()):
             node = Node()
             node.render()
             node.render()
@@ -222,7 +218,7 @@ class TestJoinPointPooling:
                 ids.append(id(jp))
                 return jp.proceed()
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             t = Target()
             assert t.op(1) == ((1,), {})
             assert t.op(2) == ((2,), {})
@@ -259,7 +255,7 @@ class TestResidueMaskIndex:
             def note(self, jp):
                 pass
 
-        with deployed(A(), [Node]):
+        with default_runtime.weave([Node], A()):
             node, painting = Node(), Painting()
             for _ in range(10):
                 node.render()
@@ -287,7 +283,7 @@ class TestResidueMaskIndex:
             def note(self, jp):
                 log.append(type(jp.target).__name__)
 
-        with deployed(A(), [Node]):
+        with default_runtime.weave([Node], A()):
             Node().render()
             Painting().render()
             Node().render()
@@ -329,7 +325,7 @@ class TestResidueMaskIndex:
             def note(self, jp):
                 log.append(type(jp.target).__name__)
 
-        with deployed(A(), [Node]):
+        with default_runtime.weave([Node], A()):
             Node().render()
             Painting().render()
         assert log == ["Painting"]
@@ -366,12 +362,14 @@ class TestSingleScanBatchDeploy:
 
         weaver_mod.shadow_index.clear()
         calls = self._counting_scan(monkeypatch)
-        weaver = Weaver()
-        weaver.deploy_all(
-            [make("execution(Alpha.op)"), make("execution(Beta.op)"),
-             make("execution(*.op)")],
-            [Alpha, Beta],
-        )
+        weaver = WeaverRuntime()
+        with weaver.transaction([Alpha, Beta]) as tx:
+            for pattern in (
+                "execution(Alpha.op)",
+                "execution(Beta.op)",
+                "execution(*.op)",
+            ):
+                tx.add(make(pattern))
         try:
             assert sorted(calls, key=lambda cls: cls.__name__) == [Alpha, Beta]
         finally:
@@ -397,13 +395,15 @@ class TestSingleScanBatchDeploy:
 
                 return A()
 
-            weaver = Weaver()
+            weaver = WeaverRuntime()
             aspects = [make("one"), make("two"), make("three")]
             if deploy_batch:
-                weaver.deploy_all(aspects, [Target])
+                with weaver.transaction([Target]) as tx:
+                    for aspect in aspects:
+                        tx.add(aspect)
             else:
                 for aspect in aspects:
-                    weaver.deploy(aspect, [Target])
+                    weaver.weave([Target], aspect)
             Target().op()
             weaver.undeploy_all()
             Target().op()
@@ -429,11 +429,10 @@ class TestSingleScanBatchDeploy:
 
             return A()
 
-        weaver = Weaver()
-        weaver.deploy_all(
-            [make("execution(Base.op)", "A1"), make("execution(Sub.op)", "A2")],
-            [Base, Sub],
-        )
+        weaver = WeaverRuntime()
+        with weaver.transaction([Base, Sub]) as tx:
+            tx.add(make("execution(Base.op)", "A1"))
+            tx.add(make("execution(Sub.op)", "A2"))
         try:
             Sub().op()
         finally:
@@ -463,9 +462,11 @@ class TestSingleScanBatchDeploy:
             def nope(self, jp):
                 pass
 
-        weaver = Weaver()
+        weaver = WeaverRuntime()
         with pytest.raises(WeavingError):
-            weaver.deploy_all([Good(), Typo()], [Target])
+            with weaver.transaction([Target]) as tx:
+                for aspect in (Good(), Typo()):
+                    tx.add(aspect)
         # The earlier aspect must not stay woven: the caller never got a
         # deployment handle to undeploy it with.
         assert Target.__dict__["op"] is original
@@ -496,9 +497,11 @@ class TestSingleScanBatchDeploy:
                     Introduction("Target", "taken", lambda self: "clash"),
                 ]
 
-        weaver = Weaver()
+        weaver = WeaverRuntime()
         with pytest.raises(IntroductionError):
-            weaver.deploy_all([Good(), PartialIntro()], [Target])
+            with weaver.transaction([Target]) as tx:
+                for aspect in (Good(), PartialIntro()):
+                    tx.add(aspect)
         # Neither the failing aspect's partial introductions nor the
         # earlier aspect survive: the caller has no handles to undo them.
         assert not hasattr(Target, "fresh")
@@ -528,8 +531,10 @@ class TestSingleScanBatchDeploy:
             def also(self, jp):
                 log.append("also")
 
-        weaver = Weaver()
-        weaver.deploy_all([Introducer(), OnPing()], [Target])
+        weaver = WeaverRuntime()
+        with weaver.transaction([Target]) as tx:
+            tx.add(Introducer())
+            tx.add(OnPing())
         try:
             assert Target().ping() == "pong"
         finally:
@@ -550,7 +555,7 @@ class TestGeneratedWrapperMetadata:
             def note(self, jp):
                 pass
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             wrapper = Target.__dict__["op"]
             assert wrapper.__name__ == "op"
             assert wrapper.__doc__ == "The docstring."
@@ -568,7 +573,7 @@ class TestGeneratedWrapperMetadata:
             def note(self, jp):
                 pass
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             source = Target.__dict__["op"].__codegen_source__
         assert "except Exception" not in source
 

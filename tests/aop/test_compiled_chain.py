@@ -1,4 +1,4 @@
-"""Compiled advice chains: parity with the legacy per-call path.
+"""Compiled advice chains: parity with the seed's per-call path.
 
 The weaver now partitions advice by kind and compiles the around-nesting
 once at deployment time (``CompiledChain``), with a static fast path that
@@ -8,18 +8,12 @@ paths, proceed() argument rewriting, undeploy — must be identical to the
 old re-partition-on-every-call implementation, reproduced here verbatim as
 the reference.
 
-The whole matrix runs three times: with code-generated per-shadow
-wrappers (the default), with ``REPRO_AOP_CODEGEN=0`` (the generic
-compiled-chain wrappers), and — on CPython 3.12+ — with
-``REPRO_AOP_MONITOR=1``, where eligible observation-only advice
-dispatches from ``sys.monitoring`` events with no wrapper frame at all
-while everything else (around/throwing, dynamic residue) composes with
-it through codegen wrappers on the same class.  All three tiers must be
-behaviorally indistinguishable — including ordering, exception paths,
-cflow watcher and undeploy-snapshot semantics.
+The whole matrix runs twice: with code-generated per-shadow wrappers
+(the default) and with ``REPRO_AOP_CODEGEN=0`` (the generic
+compiled-chain wrappers).  Both tiers must be behaviorally
+indistinguishable — including ordering, exception paths, cflow watcher
+and undeploy-snapshot semantics.
 """
-
-import sys
 
 import pytest
 
@@ -31,41 +25,23 @@ from repro.aop import (
     JoinPoint,
     JoinPointKind,
     ProceedingJoinPoint,
-    Weaver,
+    WeaverRuntime,
     after,
     after_returning,
     after_throwing,
     around,
     before,
     current_stack,
-    deployed,
+    default_runtime,
     execution,
-    run_advice_chain,
 )
 from repro.aop.weaver import shadow_index
 
 
-MONITOR_TIER = pytest.param(
-    "monitor",
-    marks=pytest.mark.skipif(
-        sys.version_info < (3, 12),
-        reason="monitor tier needs sys.monitoring (CPython 3.12+)",
-    ),
-)
-
-
-@pytest.fixture(autouse=True, params=["codegen", "generic", MONITOR_TIER])
+@pytest.fixture(autouse=True, params=["codegen", "generic"])
 def _wrapper_tier(request, monkeypatch):
-    """Run every test against all three deployment tiers (checked per deploy).
-
-    The wrapper-tier params pin ``REPRO_AOP_MONITOR=0`` explicitly — the
-    knob is auto-on under 3.12+, and these tests must exercise the
-    wrappers they name.  The monitor param keeps codegen on, so
-    monitor-ineligible advice in the same test composes through codegen
-    wrappers exactly as it would in production.
-    """
+    """Run every test against both wrapper tiers (checked per deploy)."""
     monkeypatch.setenv("REPRO_AOP_CODEGEN", "0" if request.param == "generic" else "1")
-    monkeypatch.setenv("REPRO_AOP_MONITOR", "1" if request.param == "monitor" else "0")
     return request.param
 
 
@@ -191,14 +167,6 @@ class TestLegacyParity:
         assert logs[0] == logs[1]
         assert results == ["raised", "raised"]
 
-    def test_run_advice_chain_is_the_compiled_chain(self):
-        """The legacy entry point now routes through CompiledChain."""
-        log = []
-        advice = [make_advice(AdviceKind.BEFORE, "b", log)]
-        jp = JoinPoint(JoinPointKind.METHOD_EXECUTION, object(), object, "op")
-        assert run_advice_chain(advice, jp, lambda: 42) == 42
-        assert log == ["b"]
-
 
 class TestCompiledOrdering:
     """Ordering invariants asserted directly against a deployed weave."""
@@ -227,7 +195,7 @@ class TestCompiledOrdering:
             def a2(self, jp):
                 log.append("after:inner")
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             Target().op()
         assert log == [
             "before:outer",
@@ -261,7 +229,7 @@ class TestCompiledOrdering:
                 finally:
                     log.append("exit:inner")
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             Target().op()
         assert log == [
             "enter:outer",
@@ -291,7 +259,7 @@ class TestCompiledOrdering:
             def fin(self, jp):
                 log.append("finally")
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             with pytest.raises(RuntimeError):
                 Target().op()
         assert log == ["throwing:RuntimeError", "finally"]
@@ -308,8 +276,8 @@ class TestCompiledOrdering:
             def wrap(self, jp):
                 return "woven"
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Target])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Target], A()).deployments[0]
         assert Target().op() == "woven"
         assert getattr(Target.__dict__["op"], "__woven__", False)
         weaver.undeploy(deployment)
@@ -341,7 +309,7 @@ class TestFalsyProceedArgs:
                 assert jp.kwargs == {}
                 return jp.proceed()
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             assert Target().op(1, 2, x=3) == ((), {})
 
     def test_proceed_with_explicit_falsy_values_is_preserved(self):
@@ -361,7 +329,7 @@ class TestFalsyProceedArgs:
                 assert jp.args == (0,)
                 return jp.proceed()
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             assert Target().op(99, flag=True) == (0, {})
 
 
@@ -378,7 +346,7 @@ class TestStaticFastPath:
             def peek(self, jp):
                 frames.append(current_stack())
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             Target().op()
         # Fully static weave: the fast path does not push a frame.
         assert frames == [()]
@@ -395,7 +363,7 @@ class TestStaticFastPath:
             def peek(self, jp):
                 frames.append([f.name for f in current_stack()])
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             Target().op()
         # cflow(execution(Target.op)) matches the join point itself, which
         # requires the frame to be pushed before residue filtering.
@@ -422,7 +390,7 @@ class TestStaticFastPath:
             def nested(self, jp):
                 log.append("nested")
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             Target().op()      # outside the flow: no 'nested'
             Target().entry()   # inside: both
         assert log == ["entry", "nested"]
@@ -439,7 +407,7 @@ class TestStaticFastPath:
             def threw(self, jp):
                 log.append(type(jp.result).__name__)
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             with pytest.raises(KeyError):
                 Target().op()
         assert log == ["KeyError"]
@@ -462,7 +430,7 @@ class TestStaticFastPath:
             def note(self, jp):
                 log.append(type(jp.target).__name__)
 
-        with deployed(A(), [Node]):
+        with default_runtime.weave([Node], A()):
             Node().render()
             PaintingNode().render()  # inherited shadow, negated at runtime
         assert log == ["Node"]
@@ -499,9 +467,9 @@ class TestStaticFastPath:
             def call_helper(self, jp):
                 jp.target.helper()  # must already be within entry's flow
 
-        weaver = Weaver()
-        weaver.deploy(CflowAspect(), [C])
-        weaver.deploy(StaticAspect(), [C])
+        weaver = WeaverRuntime()
+        weaver.weave([C], CflowAspect())
+        weaver.weave([C], StaticAspect())
         try:
             C().entry()
         finally:
@@ -534,9 +502,9 @@ class TestStaticFastPath:
                 jp.target.__dict__.setdefault("x", 0)
                 jp.target.compute()  # runs within the FIELD_SET frame
 
-        weaver = Weaver()
-        weaver.deploy(Watcher(), [C], require_match=False)
-        weaver.deploy(FieldAspect(), [C], fields={"x"})
+        weaver = WeaverRuntime()
+        weaver.weave([C], Watcher(), require_match=False)
+        weaver.weave([C], FieldAspect(), fields={"x"})
         try:
             c = C.__new__(C)
             c.x = 5
@@ -567,9 +535,9 @@ class TestStaticFastPath:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        weaver.deploy(Watcher(), [D])
-        weaver.deploy(StaticOnC(), [C])  # C is not in the watcher's targets
+        weaver = WeaverRuntime()
+        weaver.weave([D], Watcher())
+        weaver.weave([C], StaticOnC())  # C is not in the watcher's targets
         try:
             C().m(D())
         finally:
@@ -592,7 +560,7 @@ class TestStaticFastPath:
             def on_get(self, jp):
                 events.append(("get", None, current_stack()))
 
-        with deployed(A(), [Target], fields={"level"}):
+        with default_runtime.weave([Target], A(), fields={"level"}):
             t = Target()
             assert t.level == 1
         assert events == [("set", 1, ()), ("get", None, ())]
@@ -621,18 +589,19 @@ class TestDeployAll:
 
         # Sequential deploys (the reference semantics).
         TargetA, log_a = fresh(), []
-        weaver_a = Weaver()
+        weaver_a = WeaverRuntime()
         for tag in ("first", "second"):
-            weaver_a.deploy(make(tag, log_a), [TargetA])
+            weaver_a.weave([TargetA], make(tag, log_a))
         TargetA().op()
         weaver_a.undeploy_all()
 
-        # deploy_all over the same shape.
+        # One transaction over the same shape.
         TargetB, log_b = fresh(), []
-        weaver_b = Weaver()
-        deployments = weaver_b.deploy_all(
-            [make("first", log_b), make("second", log_b)], [TargetB]
-        )
+        weaver_b = WeaverRuntime()
+        with weaver_b.transaction([TargetB]) as tx:
+            for aspect in (make("first", log_b), make("second", log_b)):
+                tx.add(aspect)
+        deployments = tx.deployments
         TargetB().op()
         weaver_b.undeploy_all()
 
@@ -646,7 +615,7 @@ class TestDeployAll:
         assert "op" not in TargetB.__dict__ or TargetB().op() == "base"
         assert TargetB().op() == "base"
 
-    def test_deploy_all_undeploy_all_restores_originals(self, _wrapper_tier):
+    def test_deploy_all_undeploy_all_restores_originals(self):
         class Target:
             def op(self):
                 return 1
@@ -667,25 +636,19 @@ class TestDeployAll:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployments = weaver.deploy_all([A(), B()], [Target])
-        if _wrapper_tier == "monitor":
-            # The monitor tier never touches the class dict: the members
-            # stay the originals and the advice lives in registrations.
-            assert Target.__dict__["op"] is original_op
-            assert Target.__dict__["other"] is original_other
-            assert all(d.monitor_sites and not d.members for d in deployments)
-        else:
-            assert Target.__dict__["op"] is not original_op
-            assert Target.__dict__["other"] is not original_other
+        weaver = WeaverRuntime()
+        with weaver.transaction([Target]) as tx:
+            tx.add(A())
+            tx.add(B())
+        assert Target.__dict__["op"] is not original_op
+        assert Target.__dict__["other"] is not original_other
         weaver.undeploy_all()
         assert Target.__dict__["op"] is original_op
         assert Target.__dict__["other"] is original_other
-        assert all(not d.monitor_sites for d in deployments)
 
 
 class TestShadowIndex:
-    def test_index_reflects_weaver_mutations(self, _wrapper_tier):
+    def test_index_reflects_weaver_mutations(self):
         class Target:
             def op(self):
                 return 1
@@ -700,21 +663,13 @@ class TestShadowIndex:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Target])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Target], A()).deployments[0]
         woven = {s.name: s.original for s in method_shadows(Target)}
-        if _wrapper_tier == "monitor":
-            # No member installed, so the scan still sees the original —
-            # a later deployment stacks in the registration table rather
-            # than nesting a wrapper around one.
-            assert deployment.monitor_sites
-            assert not getattr(Target.__dict__["op"], "__woven__", False)
-            assert woven["op"] is Target.__dict__["op"]
-        else:
-            # The index was invalidated: a rescan sees the wrapper as the
-            # shadow (so a later deployment nests around it).
-            assert getattr(Target.__dict__["op"], "__woven__", False)
-            assert woven["op"] is Target.__dict__["op"]
+        # The index was invalidated: a rescan sees the wrapper as the
+        # shadow (so a later deployment nests around it).
+        assert getattr(Target.__dict__["op"], "__woven__", False)
+        assert woven["op"] is Target.__dict__["op"]
         weaver.undeploy(deployment)
         restored = {s.name: s.original for s in method_shadows(Target)}
         assert restored["op"] is Target.__dict__["op"]
@@ -737,12 +692,12 @@ class TestShadowIndex:
             def noop(self, jp):
                 log.append("ping-advised")
 
-        with deployed(A(), [Target]):
+        with default_runtime.weave([Target], A()):
             assert Target().ping() == "pong"
         assert log == ["ping-advised"]
         assert not hasattr(Target, "ping")
 
-    def test_subclass_entries_invalidated_with_base(self, _wrapper_tier):
+    def test_subclass_entries_invalidated_with_base(self):
         from repro.aop import method_shadows
 
         class Base:
@@ -760,19 +715,12 @@ class TestShadowIndex:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Base])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Base], A()).deployments[0]
         sub_shadow = {s.name: s.original for s in method_shadows(Sub)}
-        if _wrapper_tier == "monitor":
-            # No member mutated, so Sub's scan needs no invalidation —
-            # but Sub inherits Base's monitored code object, so the
-            # advice covers subclass calls exactly as a wrapper would.
-            assert deployment.monitor_sites
-            assert not hasattr(sub_shadow["op"], "__woven__")
-        else:
-            # Weaving Base must invalidate Sub's cached scan too: Sub
-            # inherits the wrapper now.
-            assert getattr(sub_shadow["op"], "__woven__", False)
+        # Weaving Base must invalidate Sub's cached scan too: Sub
+        # inherits the wrapper now.
+        assert getattr(sub_shadow["op"], "__woven__", False)
         weaver.undeploy(deployment)
         sub_shadow = {s.name: s.original for s in method_shadows(Sub)}
         assert not hasattr(sub_shadow["op"], "__woven__")
@@ -790,8 +738,8 @@ class TestShadowIndex:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        weaver.undeploy(weaver.deploy(A(), [Target]))  # prime the snapshot path
+        weaver = WeaverRuntime()
+        weaver.weave([Target], A()).undeploy()  # prime the snapshot path
 
         calls = []
         real_scan = weaver_mod._scan_method_shadows
@@ -803,7 +751,7 @@ class TestShadowIndex:
         weaver_mod._scan_method_shadows = counting_scan
         try:
             for _ in range(5):
-                weaver.undeploy(weaver.deploy(A(), [Target]))
+                weaver.weave([Target], A()).undeploy()
         finally:
             weaver_mod._scan_method_shadows = real_scan
         assert calls == []  # every cycle restored the pre-weave snapshot
@@ -828,22 +776,16 @@ class TestShadowIndex:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        first = weaver.deploy(OnFoo(), [Target])
-        second = weaver.deploy(OnBar(), [Target])
+        weaver = WeaverRuntime()
+        first = weaver.weave([Target], OnFoo()).deployments[0]
+        second = weaver.weave([Target], OnBar()).deployments[0]
         weaver.undeploy(first)  # out of order, but disjoint names: allowed
         # The restored view must still see OnBar's wrapper on `bar`, or a
         # third deployment would capture (and later "restore") stale state.
         from repro.aop import method_shadows
 
         originals = {s.name: s.original for s in method_shadows(Target)}
-        if second.monitor_sites:
-            # Monitor tier: neither deployment installed a member, so no
-            # snapshot can go stale — `bar` is advised via registration.
-            assert [r.name for r in second.monitor_sites] == ["bar"]
-            assert not first.monitor_sites  # released by the undeploy
-        else:
-            assert getattr(originals["bar"], "__woven__", False)
+        assert getattr(originals["bar"], "__woven__", False)
         assert not hasattr(originals["foo"], "__woven__")
         weaver.undeploy(second)
         assert not hasattr(Target.__dict__["foo"], "__woven__")
@@ -870,13 +812,13 @@ class TestShadowIndex:
 
             return A()
 
-        weaver = Weaver()
-        d1 = weaver.deploy(noop_aspect("execution(Sub.foo)", "A1"), [Sub])
-        d2 = weaver.deploy(noop_aspect("execution(Base.bar)", "A2"), [Base])
+        weaver = WeaverRuntime()
+        d1 = weaver.weave(Sub, noop_aspect("execution(Sub.foo)", "A1")).deployments[0]
+        weaver.weave(Base, noop_aspect("execution(Base.bar)", "A2"))
         weaver.undeploy(d1)  # non-overlapping out-of-LIFO: allowed
         # A third deployment on Sub must see (and wrap) A2's inherited
         # wrapper, not a stale pre-A2 scan.
-        weaver.deploy(noop_aspect("execution(Sub.bar)", "A3"), [Sub])
+        weaver.weave([Sub], noop_aspect("execution(Sub.bar)", "A3"))
         Sub().bar()
         assert sorted(log) == ["A2", "A3"]
         weaver.undeploy_all()
@@ -895,13 +837,13 @@ class TestShadowIndex:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Target])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Target], A()).deployments[0]
         Target.extra = lambda self: 2  # external mutation while deployed
         shadow_index.clear()
         weaver.undeploy(deployment)
         assert {s.name for s in method_shadows(Target)} == {"op", "extra"}
-        deployment = weaver.deploy(A(), [Target])
+        deployment = weaver.weave([Target], A()).deployments[0]
         assert sorted(deployment.woven_signatures()) == [
             "Target.extra",
             "Target.op",

@@ -53,7 +53,7 @@ class TestAspectBuilder:
             .build()
         )
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(aspect, [Node])
+        deployment = runtime.weave([Node], aspect).deployments[0]
         assert Node().render() == "[content]"
         runtime.undeploy(deployment)
 
@@ -68,7 +68,7 @@ class TestAspectBuilder:
         assert isinstance(aspect, FluentAspect)
         runtime = WeaverRuntime()
         with pytest.raises(WeavingError, match="MisspelledPointcut matched nothing"):
-            runtime.deploy(aspect, [Node])
+            runtime.weave([Node], aspect)
 
     def test_builder_order_controls_nesting(self):
         Node = fresh_node()
@@ -114,7 +114,7 @@ class TestAspectBuilder:
             .build()
         )
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(grafting, [Node], require_match=False)
+        deployment = runtime.weave([Node], grafting, require_match=False).deployments[0]
         assert Node().kind() == "grafted"
         runtime.undeploy(deployment)
         assert not hasattr(Node, "kind")
@@ -125,7 +125,7 @@ class TestAspectBuilder:
             .build()
         )
         with pytest.raises(WeavingError, match="no html builders"):
-            WeaverRuntime().deploy(policing, [Node], require_match=False)
+            WeaverRuntime().weave([Node], policing, require_match=False)
 
     def test_builder_types_environment(self):
         Node = fresh_node()
@@ -136,7 +136,7 @@ class TestAspectBuilder:
             .build()
         )
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(aspect, [Node])
+        deployment = runtime.weave([Node], aspect).deployments[0]
         Node().render()
         runtime.undeploy(deployment)
         assert log == [1]
@@ -144,7 +144,7 @@ class TestAspectBuilder:
     def test_empty_builder_fails_validation(self):
         aspect = Aspect.builder("Empty").build()
         with pytest.raises(AopError, match="declares no advice"):
-            WeaverRuntime().deploy(aspect, [fresh_node()])
+            WeaverRuntime().weave([fresh_node()], aspect)
 
     def test_after_returning_and_throwing(self):
         class Flaky:
@@ -163,7 +163,7 @@ class TestAspectBuilder:
             .build()
         )
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(aspect, [Flaky])
+        deployment = runtime.weave([Flaky], aspect).deployments[0]
         assert Flaky().op(False) == "fine"
         with pytest.raises(KeyError):
             Flaky().op(True)
@@ -203,7 +203,7 @@ class TestPointcutOperatorCoercion:
             .build()
         )
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(aspect, [Node])
+        deployment = runtime.weave([Node], aspect).deployments[0]
         node = Node()
         node.render()
         node.as_html()

@@ -84,7 +84,9 @@ class TestTierParity:
             def after_set(self, jp):
                 log.append(("after-set", jp.value))
 
-        deployment = runtime.deploy(Observing(), [Holder], fields=["level"])
+        deployment = runtime.weave(
+            [Holder], Observing(), fields=["level"]
+        ).deployments[0]
         holder = Holder()  # __init__ writes 0
         holder.level = 3
         assert holder.level == 3
@@ -108,7 +110,9 @@ class TestTierParity:
             def double(self, jp):
                 return jp.proceed() * 2
 
-        deployment = runtime.deploy(Doubling(), [Holder], fields=["level"])
+        deployment = runtime.weave(
+            [Holder], Doubling(), fields=["level"]
+        ).deployments[0]
         holder = Holder()
         holder.level = 21
         assert holder.level == 42
@@ -125,7 +129,9 @@ class TestTierParity:
             def clamp(self, jp):
                 return jp.proceed(min(jp.value, 10))
 
-        deployment = runtime.deploy(Clamping(), [Holder], fields=["level"])
+        deployment = runtime.weave(
+            [Holder], Clamping(), fields=["level"]
+        ).deployments[0]
         holder = Holder()
         holder.level = 99
         assert holder.__dict__["level"] == 10
@@ -152,7 +158,7 @@ class TestTierParity:
                 log.append(("inner", jp.value))
                 return jp.proceed()
 
-        deployment = runtime.deploy(Stacked(), [Holder], fields=["level"])
+        deployment = runtime.weave([Holder], Stacked(), fields=["level"]).deployments[0]
         holder = Holder()
         log.clear()
         holder.level = 7
@@ -179,7 +185,9 @@ class TestTierParity:
             def always(self, jp):
                 log.append("finally")
 
-        deployment = runtime.deploy(Observing(), [Holder], fields=["level"])
+        deployment = runtime.weave(
+            [Holder], Observing(), fields=["level"]
+        ).deployments[0]
         holder = Holder.__new__(Holder)  # skip __init__: no instance value
         with pytest.raises(AttributeError, match="no attribute 'level'"):
             holder.level
@@ -196,7 +204,9 @@ class TestTierParity:
             def note(self, jp):
                 pass
 
-        deployment = runtime.deploy(Observing(), [Holder], fields=["level"])
+        deployment = runtime.weave(
+            [Holder], Observing(), fields=["level"]
+        ).deployments[0]
         holder = Holder()
         assert holder.level == 17  # class default, no instance value yet
         holder.level = 4
@@ -215,7 +225,7 @@ class TestTierParity:
             def note(self, jp):
                 log.append("get")
 
-        deployment = runtime.deploy(GetOnly(), [Holder], fields=["level"])
+        deployment = runtime.weave([Holder], GetOnly(), fields=["level"]).deployments[0]
         holder = Holder()
         holder.level = 5  # descriptor installed, but no set advice
         assert holder.level == 5
@@ -233,7 +243,7 @@ class TestCodegenSpecifics:
             def note(self, jp):
                 pass
 
-        runtime.deploy(Observing(), [Holder], fields=["level"])
+        runtime.weave([Holder], Observing(), fields=["level"])
         descriptor = Holder.__dict__["level"]
         assert isinstance(descriptor, _WovenField)
         assert type(descriptor).__name__ == "_WovenFieldCodegen"
@@ -252,7 +262,7 @@ class TestCodegenSpecifics:
             def note(self, jp):
                 pass
 
-        runtime.deploy(Observing(), [Holder], fields=["level"])
+        runtime.weave([Holder], Observing(), fields=["level"])
         descriptor = Holder.__dict__["level"]
         assert type(descriptor) is _WovenField
         assert not hasattr(descriptor, "__codegen_source__")
@@ -267,7 +277,7 @@ class TestCodegenSpecifics:
             def note(self, jp):
                 pass
 
-        runtime.deploy(Residued(), [Holder], fields=["level"])
+        runtime.weave([Holder], Residued(), fields=["level"])
         assert type(Holder.__dict__["level"]) is _WovenField
         runtime.undeploy_all()
 
@@ -281,7 +291,7 @@ class TestCodegenSpecifics:
             def note(self, jp):
                 seen.append(id(jp))
 
-        runtime.deploy(Observing(), [Holder], fields=["level"])
+        runtime.weave([Holder], Observing(), fields=["level"])
         holder = Holder()
         holder.level  # noqa: B018 - exercising the descriptor
         holder.level  # noqa: B018
@@ -309,11 +319,11 @@ class TestCodegenSpecifics:
             def watched(self, jp):
                 pass
 
-        runtime.deploy(FieldSpy(), [Holder], fields=["level"])
+        runtime.weave([Holder], FieldSpy(), fields=["level"])
         holder = Holder()
         holder.level  # noqa: B018 - no watcher: fast path, no frame
         assert depths == [0]
-        watching = runtime.deploy(Watching(), [Holder])
+        watching = runtime.weave([Holder], Watching()).deployments[0]
         holder.poke()  # reads .level inside poke's frame
         assert depths[-1] >= 2  # field frame + enclosing method frame
         runtime.undeploy(watching)
@@ -335,8 +345,8 @@ class TestCodegenSpecifics:
             def note(self, jp):
                 pass
 
-        runtime.deploy(First(), [Holder], fields=["level"])
-        runtime.deploy(Second(), [Holder], fields=["level"])
+        runtime.weave([Holder], First(), fields=["level"])
+        runtime.weave([Holder], Second(), fields=["level"])
         assert Holder().level == 17  # default survived the re-weave
         runtime.undeploy_all()
         assert Holder.level == 17

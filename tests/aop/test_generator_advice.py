@@ -1,4 +1,4 @@
-"""Generator-coroutine advice: the aspectlib protocol, on every tier.
+"""Generator-coroutine advice: the aspectlib protocol, on both tiers.
 
 One generator body plays before/around/after at once: ``yield proceed``
 runs the original with the join point's arguments, ``yield
@@ -10,13 +10,8 @@ cooperating bodies for.
 
 The conformance matrix below is aspectlib's own (``test_aspect_return``,
 ``test_aspect_raise``, ``test_aspect_return_but_call``, ...), run
-against all three interception tiers.  Generator advice needs a wrapper
-frame to drive the send/throw protocol, so under the monitor tier it is
-an *obstacle*: the planner must route it to a codegen wrapper rather
-than drop it — which the matrix verifies by just passing.
+against both wrapper tiers.
 """
-
-import sys
 
 import pytest
 
@@ -34,19 +29,9 @@ from repro.aop import (
 )
 from repro.aop.advice import drive_generator
 
-MONITOR_TIER = pytest.param(
-    "monitor",
-    marks=pytest.mark.skipif(
-        sys.version_info < (3, 12),
-        reason="monitor tier needs sys.monitoring (CPython 3.12+)",
-    ),
-)
-
-
-@pytest.fixture(autouse=True, params=["codegen", "generic", MONITOR_TIER])
+@pytest.fixture(autouse=True, params=["codegen", "generic"])
 def _wrapper_tier(request, monkeypatch):
     monkeypatch.setenv("REPRO_AOP_CODEGEN", "0" if request.param == "generic" else "1")
-    monkeypatch.setenv("REPRO_AOP_MONITOR", "1" if request.param == "monitor" else "0")
     return request.param
 
 

@@ -56,7 +56,7 @@ class TestScopedDispatch:
         Node = fresh_node()
         scoped, unscoped = Node(), Node()
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(tag("A"), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], tag("A"), instances=[scoped]).deployments[0]
         try:
             assert scoped.render() == "A(base)"
             assert unscoped.render() == "base"
@@ -69,8 +69,8 @@ class TestScopedDispatch:
         Node = fresh_node()
         a, b, c = Node(), Node(), Node()
         runtime = WeaverRuntime()
-        da = runtime.deploy(tag("A"), [Node], instances=[a])
-        db = runtime.deploy(tag("B"), [Node], instances=[b])
+        da = runtime.weave([Node], tag("A"), instances=[a]).deployments[0]
+        db = runtime.weave([Node], tag("B"), instances=[b]).deployments[0]
         try:
             assert a.render() == "A(base)"
             assert b.render() == "B(base)"
@@ -83,7 +83,7 @@ class TestScopedDispatch:
         Node = fresh_node()
         scoped, unscoped = Node(), Node()
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(tag("A"), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], tag("A"), instances=[scoped]).deployments[0]
         try:
             assert scoped.render("!") == "A(base!)"
             assert scoped.render(suffix="?") == "A(base?)"
@@ -103,7 +103,7 @@ class TestScopedDispatch:
                 seen.append(jp.args)
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Watcher(), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], Watcher(), instances=[scoped]).deployments[0]
         try:
             scoped.render("!")
             assert seen == [("!",)]
@@ -123,7 +123,7 @@ class TestScopedDispatch:
                 return ("wrapped", jp.proceed())
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Wrap(), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], Wrap(), instances=[scoped]).deployments[0]
         try:
             assert scoped.render(1, x=2) == ("wrapped", ("base", (1,), ("x",)))
             assert unscoped.render(1, x=2) == ("base", (1,), ("x",))
@@ -150,7 +150,7 @@ class TestScopedDispatch:
                 return ("W", jp.proceed())
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Wrap(), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], Wrap(), instances=[scoped]).deployments[0]
         try:
             assert scoped.render(5) == ("W", 5)
             assert unscoped.render(5) == 5
@@ -171,7 +171,7 @@ class TestScopedDispatch:
         member = Node()
         scope = InstanceScope([member])
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(tag("A"), [Node], instances=scope)
+        deployment = runtime.weave([Node], tag("A"), instances=scope).deployments[0]
         marker_tier = any(k.startswith("_aop_scope_") for k in Node.__dict__)
         try:
             clone = copy.copy(member)
@@ -183,7 +183,7 @@ class TestScopedDispatch:
                     def note(self, jp):
                         pass
 
-                watcher_dep = runtime.deploy(Watch(), [Node])
+                watcher_dep = runtime.weave([Node], Watch()).deployments[0]
                 try:
                     # Slow path agrees with the fast path on the stamp.
                     assert clone.render() == "A(base)"
@@ -213,7 +213,7 @@ class TestScopedDispatch:
                 return f"W({jp.proceed()})"
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Wrap(), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], Wrap(), instances=[scoped]).deployments[0]
         try:
             assert scoped.render() == "W(base)"
             assert unscoped.render() == "base"
@@ -228,8 +228,8 @@ class TestComposition:
         Node = fresh_node()
         scoped, unscoped = Node(), Node()
         runtime = WeaverRuntime()
-        di = runtime.deploy(tag("I"), [Node], instances=[scoped])
-        dc = runtime.deploy(tag("C"), [Node])
+        di = runtime.weave([Node], tag("I"), instances=[scoped]).deployments[0]
+        dc = runtime.weave([Node], tag("C")).deployments[0]
         try:
             assert scoped.render() == "C(I(base))"
             assert unscoped.render() == "C(base)"
@@ -242,8 +242,8 @@ class TestComposition:
         Node = fresh_node()
         scoped, unscoped = Node(), Node()
         runtime = WeaverRuntime()
-        dc = runtime.deploy(tag("C"), [Node])
-        di = runtime.deploy(tag("I"), [Node], instances=[scoped])
+        dc = runtime.weave([Node], tag("C")).deployments[0]
+        di = runtime.weave([Node], tag("I"), instances=[scoped]).deployments[0]
         try:
             # The instance dispatch's "original" is the class-wide
             # wrapper, so unscoped receivers still get the class chain.
@@ -292,7 +292,7 @@ class TestComposition:
 
         runtime = WeaverRuntime()
         with pytest.raises(WeavingError, match="cannot be instance-scoped"):
-            runtime.deploy(WithIntro(), [Node], instances=[Node()])
+            runtime.weave([Node], WithIntro(), instances=[Node()])
         assert not hasattr(Node, "grafted")
 
 
@@ -324,11 +324,11 @@ class TestCflowParity:
 
         scoped, unscoped = Node(), Node()
         runtime = WeaverRuntime()
-        d_scope = runtime.deploy(tag("A"), [Node], instances=[scoped])
+        d_scope = runtime.weave([Node], tag("A"), instances=[scoped]).deployments[0]
         # Deployed over [Other] only: no tracking wrapper lands on
         # Node.render, so the frames can only come from the scoped
         # deployment's dispatch wrapper.
-        d_cflow = runtime.deploy(CflowWatch(), [Other])
+        d_cflow = runtime.weave([Other], CflowWatch()).deployments[0]
         try:
             other.m()
             assert fired == []  # outside any render extent
@@ -362,8 +362,8 @@ class TestCflowParity:
 
         scoped, unscoped = Node(), Node()
         runtime = WeaverRuntime()
-        d_cflow = runtime.deploy(CflowWatch(), [Other])
-        d_scope = runtime.deploy(tag("A"), [Node], instances=[scoped])
+        d_cflow = runtime.weave([Other], CflowWatch()).deployments[0]
+        d_scope = runtime.weave([Node], tag("A"), instances=[scoped]).deployments[0]
         try:
             unscoped.render()
             scoped.render()
@@ -395,7 +395,7 @@ class TestCflowParity:
                 seen.append((jp.args, dict(jp.kwargs)))
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Watch(), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], Watch(), instances=[scoped]).deployments[0]
         try:
             scoped.render(suffix="!")
             scoped.render()
@@ -410,7 +410,7 @@ class TestScopeObject:
         a, b = Node(), Node()
         scope = InstanceScope([a])
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(tag("A"), [Node], instances=scope)
+        deployment = runtime.weave([Node], tag("A"), instances=scope).deployments[0]
         try:
             assert a.render() == "A(base)"
             assert b.render() == "base"
@@ -426,7 +426,7 @@ class TestScopeObject:
         a = Node()
         scope = InstanceScope([a])
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(tag("A"), [Node], instances=scope)
+        deployment = runtime.weave([Node], tag("A"), instances=scope).deployments[0]
         try:
             assert len(scope) == 1 and a in scope
             del a
@@ -442,7 +442,7 @@ class TestScopeObject:
         Node = fresh_node()
         scoped = Node()
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(tag("A"), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], tag("A"), instances=[scoped]).deployments[0]
         if getattr(Node.__dict__["render"], "__codegen_source__", None) is None:
             runtime.undeploy(deployment)
             pytest.skip("codegen disabled for this run")
@@ -474,7 +474,7 @@ class TestScopeObject:
                 return f"W({jp.proceed()})"
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Wrap(), [Node], instances=[scoped])
+        deployment = runtime.weave([Node], Wrap(), instances=[scoped]).deployments[0]
         try:
             assert scoped.render() == "W(base)"
             assert unscoped.render() == "base"
@@ -497,9 +497,9 @@ class TestScopeObject:
                 writes.append(jp.value)
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(
-            FieldWatch(), [Node], fields=["level"], instances=[scoped]
-        )
+        deployment = runtime.weave(
+            [Node], FieldWatch(), fields=["level"], instances=[scoped]
+        ).deployments[0]
         try:
             scoped.level = 1
             unscoped.level = 2
@@ -514,8 +514,8 @@ class TestIntrospection:
         Node = fresh_node()
         scoped = Node()
         runtime = WeaverRuntime()
-        scoped_dep = runtime.deploy(tag("A"), [Node], instances=[scoped])
-        class_dep = runtime.deploy(tag("C"), [Node])
+        scoped_dep = runtime.weave([Node], tag("A"), instances=[scoped]).deployments[0]
+        class_dep = runtime.weave([Node], tag("C")).deployments[0]
         try:
             sites = runtime.woven_sites()
             assert {s.scope_instances for s in sites} == {1, None}

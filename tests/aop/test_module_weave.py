@@ -31,19 +31,9 @@ from repro.aop import (
 )
 from repro.xmlcore.errors import XmlSyntaxError
 
-MONITOR_TIER = pytest.param(
-    "monitor",
-    marks=pytest.mark.skipif(
-        sys.version_info < (3, 12),
-        reason="monitor tier needs sys.monitoring (CPython 3.12+)",
-    ),
-)
-
-
-@pytest.fixture(autouse=True, params=["codegen", "generic", MONITOR_TIER])
+@pytest.fixture(autouse=True, params=["codegen", "generic"])
 def _wrapper_tier(request, monkeypatch):
     monkeypatch.setenv("REPRO_AOP_CODEGEN", "0" if request.param == "generic" else "1")
-    monkeypatch.setenv("REPRO_AOP_MONITOR", "1" if request.param == "monitor" else "0")
     return request.param
 
 
@@ -166,7 +156,7 @@ class TestWeaveAndRestore:
         rt = WeaverRuntime("t")
         with pytest.raises(RuntimeError, match="mid-flight"):
             with rt.transaction([module]) as tx:
-                tx._add(A())
+                tx.add(A())
                 assert module.double is not original
                 raise RuntimeError("mid-flight")
         assert module.double is original
@@ -190,7 +180,7 @@ class TestWeaveAndRestore:
         rt = WeaverRuntime("t")
         with pytest.raises(RuntimeError):
             with rt.transaction([module, Renderer]) as tx:
-                tx._add(A())
+                tx.add(A())
                 assert module.double is not original_fn
                 assert Renderer.__dict__["render"] is not original_method
                 raise RuntimeError("abort")

@@ -53,7 +53,7 @@ class TestPoolReentrancy:
                 return jp.proceed()
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Recurse(), [Node])
+        deployment = runtime.weave([Node], Recurse()).deployments[0]
         try:
             assert Node().render(12) == 12
         finally:
@@ -110,7 +110,7 @@ class TestPoolThreadStress:
                 return jp.proceed()
 
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(Echo(), [Node])
+        deployment = runtime.weave([Node], Echo()).deployments[0]
         pool = Node.__dict__["render"].__joinpoint_pool__
         errors: list[BaseException] = []
         start = threading.Barrier(6)

@@ -1,12 +1,10 @@
-"""The first-class runtime API: scoped runtimes, transactions, shims.
+"""The first-class runtime API: scoped runtimes, transactions, handles.
 
-Covers what is *new* in the ``WeaverRuntime`` redesign — scoped state and
-cross-runtime isolation, the transactional ``DeploymentSet`` (incremental
-add, context-manager rollback, partial undeploy), introspection, the
-vectorized shadow scan, and the deprecation shims over the default
-runtime.  The full advice-chain semantics matrix stays in
-``test_compiled_chain.py`` (everything it pins runs unchanged through the
-shims).
+Covers the ``WeaverRuntime`` surface — scoped state and cross-runtime
+isolation, the transactional ``DeploymentSet`` (incremental add,
+context-manager rollback, partial undeploy), the ``weave()`` handle's
+exception path, introspection and the vectorized shadow scan.  The full
+advice-chain semantics matrix stays in ``test_compiled_chain.py``.
 """
 
 import pytest
@@ -14,29 +12,14 @@ import pytest
 from repro.aop import (
     Aspect,
     Introduction,
-    Weaver,
     WeaverRuntime,
     WeavingError,
     before,
     cflow,
     default_runtime,
-    deploy,
-    deploy_all,
-    deployed,
     execution,
-    undeploy,
 )
 from repro.aop.weaver import _scan_method_shadows
-
-
-@pytest.fixture(autouse=True)
-def _wrapper_tiers_only(monkeypatch):
-    """Pin the monitor tier off: this file asserts *wrapper* runtime
-    bookkeeping (installed members, scan-cache snapshots, cross-runtime
-    tokens), which the zero-wrapper monitor tier — auto-on under 3.12+ —
-    bypasses by design.  Its runtime semantics live in
-    ``test_monitor.py``."""
-    monkeypatch.setenv("REPRO_AOP_MONITOR", "0")
 
 
 def fresh_target():
@@ -65,7 +48,7 @@ class TestWeaverRuntime:
         Target = fresh_target()
         log = []
         runtime = WeaverRuntime("t")
-        deployment = runtime.deploy(make_tagger("a", log), [Target])
+        deployment = runtime.weave([Target], make_tagger("a", log)).deployments[0]
         assert Target().op() == "op"
         assert log == ["a"]
         runtime.undeploy(deployment)
@@ -85,14 +68,14 @@ class TestWeaverRuntime:
         a_runtime = WeaverRuntime("a")
         b_runtime = WeaverRuntime("b")
         Target = fresh_target()
-        a_runtime.undeploy(a_runtime.deploy(make_tagger("x", log), [Target]))
+        a_runtime.weave(Target, make_tagger("x", log)).undeploy()
         assert a_runtime.codegen_cache.wrappers_built == 1
         assert b_runtime.codegen_cache.wrappers_built == 0
 
     def test_undeploy_is_idempotent(self):
         Target = fresh_target()
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(make_tagger("a", []), [Target])
+        deployment = runtime.weave([Target], make_tagger("a", [])).deployments[0]
         runtime.undeploy(deployment)
         runtime.undeploy(deployment)  # second call is a no-op
         assert Target().op() == "op"
@@ -239,7 +222,7 @@ class TestDeploymentSet:
     def test_partial_undeploy_rejects_foreign_deployment(self):
         Target = fresh_target()
         runtime = WeaverRuntime()
-        foreign = runtime.deploy(make_tagger("x", []), [Target])
+        foreign = runtime.weave([Target], make_tagger("x", [])).deployments[0]
         tx = runtime.transaction([Target])
         tx.add(make_tagger("a", []))
         with pytest.raises(WeavingError, match="not active in this set"):
@@ -259,7 +242,9 @@ class TestDeploymentSet:
         runtime = WeaverRuntime()
         original = Target.__dict__["op"]
         with pytest.raises(WeavingError, match="matched nothing"):
-            runtime.deploy_all([make_tagger("a", log), NoMatch()], [Target])
+            with runtime.transaction([Target]) as tx:
+                for aspect in (make_tagger("a", log), NoMatch()):
+                    tx.add(aspect)
         assert Target.__dict__["op"] is original
         assert runtime.deployments == []
 
@@ -272,9 +257,9 @@ class TestRuntimeIsolation:
         log = []
         a_runtime = WeaverRuntime("a")
         b_runtime = WeaverRuntime("b")
-        a_dep = a_runtime.deploy(make_tagger("a", log), [Target])
+        a_dep = a_runtime.weave([Target], make_tagger("a", log)).deployments[0]
         a_wrapper = Target.__dict__["op"]
-        b_dep = b_runtime.deploy(make_tagger("b", log), [Target])
+        b_dep = b_runtime.weave([Target], make_tagger("b", log)).deployments[0]
         assert Target.__dict__["op"] is not a_wrapper  # B wrapped A, not replaced
         Target().op()
         assert log == ["b", "a"]
@@ -295,13 +280,13 @@ class TestRuntimeIsolation:
         a_runtime = WeaverRuntime("a")
         b_runtime = WeaverRuntime("b")
         pre = {s.name: s.original for s in b_runtime.shadow_index.shadows(Target)}
-        a_dep = a_runtime.deploy(make_tagger("a", log), [Target])
+        a_dep = a_runtime.weave([Target], make_tagger("a", log)).deployments[0]
         woven = {s.name: s.original for s in b_runtime.shadow_index.shadows(Target)}
         assert woven["op"] is Target.__dict__["op"]
         assert woven["op"] is not pre["op"]
         # And B deploys against the woven member, so undeploying B restores
         # A's wrapper, not the pre-A original.
-        b_dep = b_runtime.deploy(make_tagger("b", log), [Target])
+        b_dep = b_runtime.weave([Target], make_tagger("b", log)).deployments[0]
         b_runtime.undeploy(b_dep)
         assert Target.__dict__["op"] is woven["op"]
         a_runtime.undeploy(a_dep)
@@ -319,8 +304,8 @@ class TestRuntimeIsolation:
         log = []
         a_runtime = WeaverRuntime("a")
         b_runtime = WeaverRuntime("b")
-        a_dep = a_runtime.deploy(make_tagger("a", log), [Target])
-        b_dep = b_runtime.deploy(make_tagger("b", log), [Target])
+        a_dep = a_runtime.weave([Target], make_tagger("a", log)).deployments[0]
+        b_dep = b_runtime.weave([Target], make_tagger("b", log)).deployments[0]
         b_runtime.undeploy(b_dep)
         a_runtime.undeploy(a_dep)
         assert {s.name for s in a_runtime.shadow_index.shadows(Target)} == {
@@ -334,8 +319,8 @@ class TestRuntimeIsolation:
         log = []
         a_runtime = WeaverRuntime("a")
         b_runtime = WeaverRuntime("b")
-        a_dep = a_runtime.deploy(make_tagger("a", log), [Target])
-        b_dep = b_runtime.deploy(make_tagger("b", log), [Target])
+        a_dep = a_runtime.weave([Target], make_tagger("a", log)).deployments[0]
+        b_dep = b_runtime.weave([Target], make_tagger("b", log)).deployments[0]
         with pytest.raises(WeavingError, match="re-woven"):
             a_runtime.undeploy(a_dep)
         b_runtime.undeploy(b_dep)
@@ -352,7 +337,7 @@ class TestRuntimeIsolation:
 
         a_runtime = WeaverRuntime("a")
         b_runtime = WeaverRuntime("b")
-        deployment = a_runtime.deploy(Watching(), [Target])
+        deployment = a_runtime.weave([Target], Watching()).deployments[0]
         assert a_runtime.watchers.count == 1
         assert b_runtime.watchers.count == 0
         assert default_runtime.watchers.count == 0
@@ -378,7 +363,7 @@ class TestIntrospection:
                 return [Introduction("Target", "grafted", lambda self: 1)]
 
         runtime = WeaverRuntime()
-        runtime.deploy(Mixed(), [Target])
+        runtime.weave([Target], Mixed())
         sites = {s.signature: s for s in runtime.woven_sites()}
         assert sites["Target.op"].tier in {"codegen", "tracking"}
         assert sites["Target.other"].tier == "generic"
@@ -396,7 +381,7 @@ class TestIntrospection:
         monkeypatch.setenv("REPRO_AOP_CODEGEN", "0")
         Target = fresh_target()
         runtime = WeaverRuntime()
-        runtime.deploy(make_tagger("a", []), [Target])
+        runtime.weave([Target], make_tagger("a", []))
         (site,) = runtime.woven_sites()
         assert site.tier == "generic"
         assert site.codegen_lines is None
@@ -406,7 +391,7 @@ class TestIntrospection:
         monkeypatch.setenv("REPRO_AOP_CODEGEN", "1")
         Target = fresh_target()
         runtime = WeaverRuntime()
-        deployment = runtime.deploy(make_tagger("a", []), [Target])
+        deployment = runtime.weave([Target], make_tagger("a", [])).deployments[0]
         Target().op()
         stats = runtime.deployment_stats(deployment)
         assert stats.method_members == 1
@@ -420,7 +405,7 @@ class TestIntrospection:
         monkeypatch.setenv("REPRO_AOP_CODEGEN", "1")
         Target = fresh_target()
         runtime = WeaverRuntime("stats")
-        runtime.deploy(make_tagger("a", []), [Target])
+        runtime.weave([Target], make_tagger("a", []))
         stats = runtime.stats()
         assert stats["name"] == "stats"
         assert stats["deployments"] == 1
@@ -429,62 +414,8 @@ class TestIntrospection:
         runtime.undeploy_all()
 
 
-class TestDeprecationShims:
-    def test_weaver_warns_and_works(self):
-        Target = fresh_target()
-        log = []
-        with pytest.warns(DeprecationWarning, match="Weaver.*deprecated"):
-            weaver = Weaver()
-        deployment = weaver.deploy(make_tagger("a", log), [Target])
-        Target().op()
-        weaver.undeploy(deployment)
-        assert log == ["a"]
-        assert Target().op() == "op"
-
-    def test_weaver_shares_default_runtime_state(self):
-        with pytest.warns(DeprecationWarning):
-            weaver = Weaver()
-        assert weaver.shadow_index is default_runtime.shadow_index
-        assert weaver.watchers is default_runtime.watchers
-        assert weaver.codegen_cache is default_runtime.codegen_cache
-
-    def test_free_functions_warn_and_work(self):
-        Target = fresh_target()
-        log = []
-        with pytest.warns(DeprecationWarning, match="deploy\\(\\) is deprecated"):
-            deployment = deploy(make_tagger("a", log), [Target])
-        Target().op()
-        with pytest.warns(DeprecationWarning, match="undeploy\\(\\) is deprecated"):
-            undeploy(deployment)
-        assert log == ["a"]
-        assert Target().op() == "op"
-
-    def test_deploy_all_warns_and_works(self):
-        Target = fresh_target()
-        log = []
-        with pytest.warns(DeprecationWarning, match="deploy_all"):
-            deployments = deploy_all(
-                [make_tagger("a", log), make_tagger("b", log)], [Target]
-            )
-        Target().op()
-        assert log == ["b", "a"]
-        for deployment in reversed(deployments):
-            default_runtime.undeploy(deployment)
-        assert Target().op() == "op"
-
-    def test_deployed_warns(self):
-        Target = fresh_target()
-        log = []
-        with pytest.warns(DeprecationWarning, match="deployed"):
-            context = deployed(make_tagger("a", log), [Target])
-        with context:
-            Target().op()
-        assert log == ["a"]
-        assert not hasattr(Target.__dict__["op"], "__woven__")
-
-
 class TestDeployedRollback:
-    """Regression for the `deployed` context manager's exception path.
+    """Regression for a ``with runtime.weave(...)`` block's exception path.
 
     Before the DeploymentSet rewrite, an exception inside the block ran a
     *strict* undeploy: if some other deployment had re-woven the class in
@@ -506,30 +437,26 @@ class TestDeployedRollback:
     def test_exception_rolls_back_introductions_despite_interference(self):
         Target = fresh_target()
         interferer = WeaverRuntime("interferer")
-        with pytest.warns(DeprecationWarning):
-            context = deployed(self._grafting_aspect(), [Target])
         with pytest.raises(ValueError, match="user error"):
-            with context:
+            with default_runtime.weave([Target], self._grafting_aspect()):
                 assert Target().grafted() == "extra"
                 # A later deployment by someone else makes our member
                 # non-LIFO-revertible...
-                interference = interferer.deploy(make_tagger("i", []), [Target])
+                interference = interferer.weave(Target, make_tagger("i", []))
                 raise ValueError("user error")
         # ...yet the introduction is gone and the *user's* exception won.
         assert not hasattr(Target, "grafted")
-        interferer.undeploy(interference)
+        interference.undeploy()
 
     def test_clean_exit_still_undeploys_strictly(self):
         Target = fresh_target()
         interferer = WeaverRuntime("interferer")
-        with pytest.warns(DeprecationWarning):
-            context = deployed(self._grafting_aspect(), [Target])
         with pytest.raises(WeavingError, match="re-woven"):
-            with context:
-                interference = interferer.deploy(make_tagger("i", []), [Target])
+            with default_runtime.weave([Target], self._grafting_aspect()):
+                interference = interferer.weave(Target, make_tagger("i", []))
         # Strictness preserved on the no-exception path: the caller hears
         # about the interleaving instead of silently losing wrappers.
-        interferer.undeploy(interference)
+        interference.undeploy()
 
 
 class TestVectorizedShadowScan:

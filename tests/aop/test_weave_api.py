@@ -1,13 +1,10 @@
-"""The unified ``weave()`` surface and the deprecated API behind it.
+"""The unified ``weave()`` surface.
 
 ``runtime.weave(target, aspect)`` is the one entry point for deployment:
 it accepts a class, a module, a module-level function, or a list mixing
 all three, and returns a context-managed :class:`~repro.aop.Weave`
 handle — ``with`` gives aspectlib-style scoped weaving (exception ⇒
-rollback), ``.undeploy()`` reverses it imperatively.  The old surface
-(``runtime.deploy``, ``runtime.deploy_all``, ``DeploymentSet.add`` and
-the ``repro.aop.legacy`` free functions) still works, emits
-``DeprecationWarning``, and routes to exactly the same machinery.
+rollback), ``.undeploy()`` reverses it imperatively.
 """
 
 import sys
@@ -155,74 +152,6 @@ class TestWeaveHandle:
         handle = rt.weave(Renderer, observing_aspect([], "Renderer.render"))
         assert "1 deployment(s)" in repr(handle)
         handle.undeploy()
-
-
-class TestDeprecatedSurface:
-    def test_runtime_deploy_warns_and_works(self):
-        Renderer = fresh_renderer()
-        log = []
-        rt = WeaverRuntime("t")
-        with pytest.warns(DeprecationWarning, match="weave"):
-            deployment = rt.deploy(
-                observing_aspect(log, "Renderer.render"), [Renderer]
-            )
-        Renderer().render()
-        rt.undeploy(deployment)
-        assert log == ["Renderer.render"]
-
-    def test_runtime_deploy_all_warns_and_works(self):
-        Renderer = fresh_renderer()
-        log = []
-        rt = WeaverRuntime("t")
-        with pytest.warns(DeprecationWarning, match="weave"):
-            deployments = rt.deploy_all(
-                [
-                    observing_aspect(log, "Renderer.render"),
-                    observing_aspect(log, "Renderer.index"),
-                ],
-                [Renderer],
-            )
-        instance = Renderer()
-        instance.render()
-        instance.index()
-        for deployment in reversed(deployments):
-            rt.undeploy(deployment)
-        assert log == ["Renderer.render", "Renderer.index"]
-
-    def test_deployment_set_add_warns_and_works(self):
-        Renderer = fresh_renderer()
-        log = []
-        rt = WeaverRuntime("t")
-        with rt.transaction([Renderer]) as tx:
-            with pytest.warns(DeprecationWarning, match="weave"):
-                tx.add(observing_aspect(log, "Renderer.render"))
-            Renderer().render()
-            tx.undeploy()
-        assert log == ["Renderer.render"]
-
-    def test_legacy_free_functions_still_route_through(self):
-        from repro.aop import deploy, undeploy
-
-        Renderer = fresh_renderer()
-        log = []
-        with pytest.warns(DeprecationWarning, match="weave"):
-            deployment = deploy(
-                observing_aspect(log, "Renderer.render"), [Renderer]
-            )
-        Renderer().render()
-        with pytest.warns(DeprecationWarning):
-            undeploy(deployment)
-        assert log == ["Renderer.render"]
-
-    def test_weave_itself_never_warns(self):
-        import warnings
-
-        Renderer = fresh_renderer()
-        rt = WeaverRuntime("t")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with rt.weave(Renderer, observing_aspect([], "Renderer.render")):
-                Renderer().render()
 
 
 class TestLintThreading:

@@ -2,27 +2,18 @@
 
 import pytest
 
-
-@pytest.fixture(autouse=True)
-def _wrapper_tiers_only(monkeypatch):
-    """Pin the monitor tier off: this file asserts installed-wrapper
-    mechanics (member identity, LIFO undeploy constraints) that the
-    zero-wrapper monitor tier bypasses; ``test_monitor.py`` and the
-    ``test_compiled_chain.py`` three-tier matrix cover its semantics."""
-    monkeypatch.setenv("REPRO_AOP_MONITOR", "0")
-
 from repro.aop import (
     Aspect,
     Introduction,
     IntroductionError,
-    Weaver,
+    WeaverRuntime,
     WeavingError,
     after,
     after_returning,
     after_throwing,
     around,
     before,
-    deployed,
+    default_runtime,
 )
 
 
@@ -60,7 +51,7 @@ class TestAdviceKinds:
             def note(self, jp):
                 log.append(("before", jp.args[0]))
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             Account().deposit(10)
         assert log == [("before", 10)]
 
@@ -73,7 +64,7 @@ class TestAdviceKinds:
             def note(self, jp):
                 seen.append(jp.result)
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             Account(5).deposit(10)
         assert seen == [15]
 
@@ -86,7 +77,7 @@ class TestAdviceKinds:
             def note(self, jp):
                 seen.append(type(jp.result).__name__)
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             with pytest.raises(ValueError):
                 Account(0).withdraw(10)
         assert seen == ["ValueError"]
@@ -100,7 +91,7 @@ class TestAdviceKinds:
             def note(self, jp):
                 seen.append("threw")
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             Account().deposit(1)
         assert seen == []
 
@@ -113,7 +104,7 @@ class TestAdviceKinds:
             def note(self, jp):
                 seen.append(jp.name)
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             account = Account(10)
             account.deposit(1)
             with pytest.raises(ValueError):
@@ -128,7 +119,7 @@ class TestAdviceKinds:
             def double(self, jp):
                 return jp.proceed() * 2
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             assert Account(0).deposit(10) == 20
 
     def test_around_can_rewrite_arguments(self):
@@ -140,7 +131,7 @@ class TestAdviceKinds:
                 (amount,) = jp.args
                 return jp.proceed(min(amount, 100))
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             assert Account(0).deposit(1000) == 100
 
     def test_around_can_skip_proceed(self):
@@ -151,7 +142,7 @@ class TestAdviceKinds:
             def deny(self, jp):
                 return "denied"
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             account = Account(100)
             assert account.withdraw(10) == "denied"
             assert account.balance == 100  # original never ran
@@ -171,7 +162,7 @@ class TestOrderingAndPrecedence:
             def second(self, jp):
                 log.append("second")
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             Account().deposit(1)
         assert log == ["first", "second"]
 
@@ -192,9 +183,9 @@ class TestOrderingAndPrecedence:
 
             return A()
 
-        weaver = Weaver()
-        inner = weaver.deploy(make("inner", 20), [Account])
-        outer = weaver.deploy(make("outer", 10), [Account])
+        weaver = WeaverRuntime()
+        inner = weaver.weave([Account], make("inner", 20)).deployments[0]
+        outer = weaver.weave([Account], make("outer", 10)).deployments[0]
         Account().deposit(1)
         weaver.undeploy(outer)
         weaver.undeploy(inner)
@@ -215,7 +206,7 @@ class TestOrderingAndPrecedence:
             def earlier(self, jp):
                 log.append("earlier")
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             Account().deposit(1)
         assert log == ["earlier", "later"]
 
@@ -232,7 +223,7 @@ class TestOrderingAndPrecedence:
             def inner(self, jp):
                 log.append("inner")
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             Account().deposit(1)
         assert log == ["inner", "outer"]
 
@@ -247,7 +238,7 @@ class TestInheritance:
             def note(self, jp):
                 log.append(type(jp.target).__name__)
 
-        with deployed(A(), [Account, Savings]):
+        with default_runtime.weave([Account, Savings], A()):
             Savings().deposit(1)
         # Savings.deposit calls super().deposit(); both woven shadows fire
         # but each advice observes the Savings instance.
@@ -262,7 +253,7 @@ class TestInheritance:
             def note(self, jp):
                 log.append("withdraw")
 
-        with deployed(A(), [Savings]):
+        with default_runtime.weave([Savings], A()):
             Savings(10).withdraw(5)
             Account(10).withdraw(5)  # base class untouched
         assert log == ["withdraw"]
@@ -283,7 +274,7 @@ class TestFields:
             def on_get(self, jp):
                 events.append(("get", None))
 
-        with deployed(A(), [Account], fields={"balance"}):
+        with default_runtime.weave([Account], A(), fields={"balance"}):
             account = Account(1)     # __init__ sets balance
             account.deposit(2)       # get + set + get (the return reads it)
         assert events == [("set", 1), ("get", None), ("set", 3), ("get", None)]
@@ -296,7 +287,7 @@ class TestFields:
             def clamp(self, jp):
                 return jp.proceed(max(jp.value, 0))
 
-        with deployed(A(), [Account], fields={"balance"}):
+        with default_runtime.weave([Account], A(), fields={"balance"}):
             account = Account(5)
             account.balance = -10
             assert account.balance == 0
@@ -309,7 +300,7 @@ class TestFields:
             def noop(self, jp):
                 pass
 
-        with deployed(A(), [Account], fields={"balance"}):
+        with default_runtime.weave([Account], A(), fields={"balance"}):
             account = Account(0)
             account.balance = 42
         assert account.balance == 42
@@ -323,7 +314,7 @@ class TestFields:
             def noop(self, jp):
                 pass
 
-        with deployed(A(), [Account], fields={"balance", "unrelated"}):
+        with default_runtime.weave([Account], A(), fields={"balance", "unrelated"}):
             assert "unrelated" not in Account.__dict__
 
 
@@ -335,7 +326,7 @@ class TestIntroductions:
             def introductions(self):
                 return [Introduction("Account", "as_anchor", lambda self: f"#acct")]
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             assert Account(0).as_anchor() == "#acct"
         assert not hasattr(Account, "as_anchor")
 
@@ -347,7 +338,7 @@ class TestIntroductions:
                 return [Introduction("Account", "deposit", lambda self: None)]
 
         with pytest.raises(IntroductionError):
-            Weaver().deploy(A(), [Account])
+            WeaverRuntime().weave([Account], A())
 
     def test_replace_allows_override_and_restores(self):
         Account, _ = fresh_classes()
@@ -364,7 +355,7 @@ class TestIntroductions:
                     )
                 ]
 
-        with deployed(A(), [Account]):
+        with default_runtime.weave([Account], A()):
             assert Account(0).deposit(1) == "replaced"
         assert Account.deposit is original
 
@@ -379,8 +370,8 @@ class TestDeploymentLifecycle:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Account])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Account], A()).deployments[0]
         assert Account.__dict__["deposit"] is not original
         weaver.undeploy(deployment)
         assert Account.__dict__["deposit"] is original
@@ -393,8 +384,8 @@ class TestDeploymentLifecycle:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Account])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Account], A()).deployments[0]
         weaver.undeploy(deployment)
         weaver.undeploy(deployment)  # no error
 
@@ -406,9 +397,9 @@ class TestDeploymentLifecycle:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        first = weaver.deploy(A(), [Account])
-        weaver.deploy(A(), [Account])
+        weaver = WeaverRuntime()
+        first = weaver.weave([Account], A()).deployments[0]
+        weaver.weave([Account], A())
         with pytest.raises(WeavingError):
             weaver.undeploy(first)
 
@@ -421,9 +412,9 @@ class TestDeploymentLifecycle:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        weaver.deploy(A(), [Account])
-        weaver.deploy(A(), [Account])
+        weaver = WeaverRuntime()
+        weaver.weave([Account], A())
+        weaver.weave([Account], A())
         weaver.undeploy_all()
         assert Account.__dict__["deposit"] is original
         assert weaver.deployments == []
@@ -437,7 +428,7 @@ class TestDeploymentLifecycle:
                 pass
 
         with pytest.raises(WeavingError):
-            Weaver().deploy(A(), [Account])
+            WeaverRuntime().weave([Account], A())
 
     def test_matching_nothing_tolerated_when_asked(self):
         Account, _ = fresh_classes()
@@ -447,7 +438,8 @@ class TestDeploymentLifecycle:
             def noop(self, jp):
                 pass
 
-        deployment = Weaver().deploy(A(), [Account], require_match=False)
+        handle = WeaverRuntime().weave([Account], A(), require_match=False)
+        deployment = handle.deployments[0]
         assert deployment.members == []
 
     def test_aspect_without_advice_rejected(self):
@@ -457,7 +449,7 @@ class TestDeploymentLifecycle:
             pass
 
         with pytest.raises(Exception):
-            Weaver().deploy(Empty(), [Account])
+            WeaverRuntime().weave([Account], Empty())
 
     def test_woven_signatures_reported(self):
         Account, _ = fresh_classes()
@@ -467,8 +459,8 @@ class TestDeploymentLifecycle:
             def noop(self, jp):
                 pass
 
-        weaver = Weaver()
-        deployment = weaver.deploy(A(), [Account])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([Account], A()).deployments[0]
         assert deployment.woven_signatures() == ["Account.deposit", "Account.withdraw"]
         weaver.undeploy_all()
 
@@ -489,7 +481,7 @@ class TestDynamicResidues:
             def note(self, jp):
                 log.append("nested")
 
-        with deployed(A(), [Report]):
+        with default_runtime.weave([Report], A()):
             report = Report()
             report.line()      # not within summary: no advice
             report.summary()   # line() within summary: advice
@@ -512,7 +504,7 @@ class TestDynamicResidues:
             def note(self, jp):
                 log.append("savings-only")
 
-        with deployed(A(), [Account]), deployed(B(), [Account]):
+        with default_runtime.weave(Account, A()), default_runtime.weave(Account, B()):
             Account().deposit(1)
         assert log == ["any"]
 
@@ -533,7 +525,7 @@ class TestDeclareError:
                 ]
 
         with pytest.raises(WeavingError) as info:
-            Weaver().deploy(Policy(), [Account])
+            WeaverRuntime().weave([Account], Policy())
         assert "forbidden" in str(info.value)
         assert "Account.withdraw" in str(info.value)
 
@@ -546,9 +538,9 @@ class TestDeclareError:
             def declarations(self):
                 return [declare_error("execution(*.render_anchor)", "no inline nav")]
 
-        weaver = Weaver()
-        deployment = weaver.deploy(Policy(), [Account], require_match=False)
-        weaver.undeploy(deployment)
+        weaver = WeaverRuntime()
+        handle = weaver.weave([Account], Policy(), require_match=False)
+        weaver.undeploy(handle.deployments[0])
 
     def test_declaration_only_aspect_is_valid(self):
         from repro.aop import declare_error
@@ -561,4 +553,4 @@ class TestDeclareError:
 
         # validate() accepts an aspect with declarations but no advice.
         Policy().validate()
-        Weaver().deploy(Policy(), [Account], require_match=False)
+        WeaverRuntime().weave([Account], Policy(), require_match=False)

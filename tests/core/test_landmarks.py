@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aop import Weaver
+from repro.aop import WeaverRuntime
 from repro.baselines import museum_fixture
 from repro.core import (
     LandmarkAspect,
@@ -21,9 +21,9 @@ def fixture():
 
 
 def build_with(fixture, *aspects):
-    weaver = Weaver()
+    weaver = WeaverRuntime()
     for aspect in aspects:
-        weaver.deploy(aspect, [PageRenderer])
+        weaver.weave(PageRenderer, aspect)
     try:
         return PageRenderer(fixture).build_site()
     finally:

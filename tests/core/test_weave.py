@@ -86,11 +86,11 @@ class TestWovenSite:
 
 class TestNavigationAspect:
     def test_counts_advised_pages(self, fixture):
-        from repro.aop import Weaver
+        from repro.aop import WeaverRuntime
 
         aspect = NavigationAspect(default_museum_spec("index"), fixture)
-        weaver = Weaver()
-        deployment = weaver.deploy(aspect, [PageRenderer])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([PageRenderer], aspect).deployments[0]
         try:
             PageRenderer(fixture).build_site()
         finally:
@@ -162,13 +162,13 @@ class TestLazyWovenProvider:
 class TestFailureInjection:
     def test_advice_exception_propagates_with_context(self, fixture):
         """A broken navigation spec must fail loudly, not render silently."""
-        from repro.aop import Weaver
+        from repro.aop import WeaverRuntime
 
         broken = default_museum_spec("index")
         broken.expose("PaintingNode", "no_such_link_class")
         aspect = NavigationAspect(broken, fixture)
-        weaver = Weaver()
-        deployment = weaver.deploy(aspect, [PageRenderer])
+        weaver = WeaverRuntime()
+        deployment = weaver.weave([PageRenderer], aspect).deployments[0]
         try:
             with pytest.raises(Exception) as info:
                 PageRenderer(fixture).build_site()

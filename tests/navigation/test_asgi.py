@@ -470,6 +470,7 @@ class TestOverRealSockets:
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(host.url("/stranger/index.html"))
             assert info.value.code == 404
+            info.value.close()  # the error still holds the open response
 
     def test_keep_alive_reuses_one_connection(self, served):
         import http.client

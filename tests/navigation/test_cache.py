@@ -5,7 +5,7 @@ The tentpole suite for the serving hot path's skeleton cache: the
 (:attr:`WeaverRuntime.weave_epoch` and the per-audience snapshots on
 :class:`AudienceServer`), cache hit/miss/bypass behaviour over the HTTP
 front (including byte parity between a hit and the miss that installed
-it), the ``REPRO_PAGE_CACHE=0`` escape hatch, and — the concurrency
+it), the ``cache_enabled=False`` switch, and — the concurrency
 bar — N session threads hammering one page while a mid-flight
 ``reconfigure`` bumps the epoch, under both wrapper tiers: nobody ever
 observes a stale (pre-reconfigure) skeleton after the swap, and nobody
@@ -26,7 +26,6 @@ from repro.navigation import (
     NavigationApp,
     PageCache,
     ServingConfig,
-    page_cache_enabled,
 )
 from repro.web import TRAIL_SLOT, compose_page
 
@@ -142,7 +141,7 @@ class TestWeaveEpoch:
 
         runtime = WeaverRuntime("epoch-probe")
         e0 = runtime.weave_epoch
-        deployment = runtime.deploy(ProbeAspect(), [Probe])
+        deployment = runtime.weave(Probe, ProbeAspect()).deployments[0]
         assert runtime.weave_epoch > e0
         e1 = runtime.weave_epoch
         runtime.undeploy(deployment)
@@ -300,18 +299,6 @@ class TestCachedServing:
             # The visitor's entry survived its neighbour's swap.
             _, h, _ = call(app, f"/visitor/{GUITAR}", sid="a")
             assert h["X-Repro-Cache"] == "hit"
-            app.close()
-
-    def test_escape_hatch_disables_the_tier(self, fixture, monkeypatch):
-        monkeypatch.setenv("REPRO_PAGE_CACHE", "0")
-        assert not page_cache_enabled()
-        assert not ServingConfig().cache_active()
-        with AudienceServer(fixture, VISITOR_CURATOR) as server:
-            app = NavigationApp(server)
-            assert server.page_cache("visitor") is None
-            _, h, _ = call(app, f"/visitor/{GUITAR}", sid="a")
-            _, h2, _ = call(app, f"/visitor/{GUITAR}", sid="a")
-            assert h["X-Repro-Cache"] == h2["X-Repro-Cache"] == "off"
             app.close()
 
     def test_config_switch_disables_the_tier(self, fixture):

@@ -1,9 +1,8 @@
-"""ServingConfig, the SessionTier handle, and the deprecation shims.
+"""ServingConfig and the SessionTier handle.
 
-The typed config surface's validation and env interaction, the
-:class:`SessionTier` lifecycle (a session is plain data and weaves
-nothing), and the ``DeprecationWarning`` shims that keep every
-pre-redesign keyword call site running while it migrates.
+The typed config surface's validation and its flow through the server
+and app, and the :class:`SessionTier` lifecycle (a session is plain data
+and weaves nothing).
 """
 
 import pytest
@@ -57,13 +56,6 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             config.replace(max_sessions=-1)
 
-    def test_cache_active_needs_both_switches(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAGE_CACHE", raising=False)
-        assert ServingConfig().cache_active()
-        assert not ServingConfig(cache_enabled=False).cache_active()
-        monkeypatch.setenv("REPRO_PAGE_CACHE", "off")
-        assert not ServingConfig().cache_active()
-
     def test_flows_through_server_and_app(self, fixture):
         config = ServingConfig(breadcrumb_limit=2, max_sessions=7)
         with AudienceServer(fixture, VISITOR, config=config) as server:
@@ -100,24 +92,3 @@ class TestSessionTier:
                 tier.deploy(BreadcrumbAspect(limit=4))
             with pytest.raises(NavigationError):
                 server.session_tier("stranger")
-
-
-class TestDeprecationShims:
-    def test_audience_server_lint_kwarg_warns_and_folds(self, fixture):
-        with pytest.warns(DeprecationWarning, match="lint"):
-            server = AudienceServer(fixture, VISITOR, lint="warn")
-        with server:
-            assert server.config.lint == "warn"
-
-    def test_navigation_app_kwargs_warn_and_fold(self, fixture):
-        with AudienceServer(fixture, VISITOR) as server:
-            with pytest.warns(DeprecationWarning, match="max_sessions"):
-                app = NavigationApp(server, max_sessions=3)
-            assert app.config.max_sessions == 3
-            app.close()
-            with pytest.warns(DeprecationWarning, match="breadcrumb_limit"):
-                app = NavigationApp(server, breadcrumb_limit=2)
-            app.close()
-            with pytest.warns(DeprecationWarning, match="session_idle_timeout"):
-                app = NavigationApp(server, session_idle_timeout=5.0)
-            app.close()

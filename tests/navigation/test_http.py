@@ -189,7 +189,7 @@ class TestSessionCosts:
 
     def test_session_cap_refuses_with_503(self, fixture):
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
-            app = NavigationApp(server, max_sessions=2)
+            app = NavigationApp(server, ServingConfig(max_sessions=2))
             assert call(app, "/visitor/index.html", sid="a")[0] == 200
             assert call(app, "/visitor/index.html", sid="b")[0] == 200
             status, _, text = call(app, "/visitor/index.html", sid="c")
@@ -216,8 +216,7 @@ class TestSessionCosts:
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             app = NavigationApp(
                 server,
-                max_sessions=1,
-                session_idle_timeout=100.0,
+                ServingConfig(max_sessions=1, session_idle_timeout=100.0),
                 clock=lambda: clock[0],
             )
             assert call(app, "/visitor/index.html", sid="a")[0] == 200
@@ -278,7 +277,9 @@ class TestEviction:
         clock = [0.0]
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             app = NavigationApp(
-                server, session_idle_timeout=100.0, clock=lambda: clock[0]
+                server,
+                ServingConfig(session_idle_timeout=100.0),
+                clock=lambda: clock[0],
             )
             call(app, "/visitor/index.html", sid="alice")
             call(app, f"/visitor/{GUITAR}", sid="alice")
@@ -379,13 +380,13 @@ class TestManagementSurface:
             call(app, "/curator/index.html", sid=f"c{n}")
         _, _, visitor_before = call(app, f"/visitor/{GUITAR}", sid="v0")
         added = []
-        real_add = server._tx._add
+        real_add = server._tx.add
 
         def counting_add(aspect, *args, **kwargs):
             added.append(type(aspect).__name__)
             return real_add(aspect, *args, **kwargs)
 
-        monkeypatch.setattr(server._tx, "_add", counting_add)
+        monkeypatch.setattr(server._tx, "add", counting_add)
         server.reconfigure("curator", ("indexed-guided-tour",))
         assert added == ["NavigationAspect"]
         _, _, curator = call(app, f"/curator/{GUITAR}", sid="c0")
@@ -519,6 +520,7 @@ class TestOverRealSockets:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     get("/visitor/ghost.html", "alice")
                 assert excinfo.value.code == 404
+                excinfo.value.close()  # the error still holds the open response
             finally:
                 httpd.shutdown()
                 httpd.server_close()

@@ -58,71 +58,6 @@ class TestCheck:
         assert gate.check(baseline, too_low, 0.15) != []
 
 
-class TestInterpreterGatedSeries:
-    """Series that only exist on newer interpreters (monitor tier)."""
-
-    def test_absence_below_the_floor_is_informational(self, gate):
-        baseline = payload(static_before=3.0, static_before_monitor=5.0)
-        baseline["requires_python"] = {"static_before_monitor": "3.12"}
-        current = payload(static_before=3.0)  # a 3.11 run cannot measure it
-        assert gate.check(baseline, current, 0.15) == []
-        assert gate.interpreter_gated_series(baseline, current) == {
-            "static_before_monitor": "3.12"
-        }
-
-    def test_absence_on_a_supporting_interpreter_still_fails(self, gate):
-        baseline = payload(
-            python="3.13.1", static_before=3.0, static_before_monitor=5.0
-        )
-        baseline["requires_python"] = {"static_before_monitor": "3.12"}
-        current = payload(python="3.13.1", static_before=3.0)
-        (failure,) = gate.check(baseline, current, 0.15)
-        assert "static_before_monitor" in failure and "disappeared" in failure
-        assert gate.interpreter_gated_series(baseline, current) == {}
-
-    def test_present_series_gate_normally_despite_floor(self, gate):
-        baseline = payload(
-            python="3.13.1", static_before_monitor=5.0
-        )
-        baseline["requires_python"] = {"static_before_monitor": "3.12"}
-        current = payload(python="3.13.1", static_before_monitor=1.0)
-        (failure,) = gate.check(baseline, current, 0.15)
-        assert "static_before_monitor" in failure
-
-    def test_requirement_read_from_either_payload(self, gate):
-        # The floor may be recorded by the (newer) run that produced the
-        # committed series rather than the current one.
-        baseline = payload(static_before_monitor=5.0)
-        current = payload(python="3.11.7")
-        current["requires_python"] = {"static_before_monitor": "3.12"}
-        assert gate.check(baseline, current, 0.15) == []
-
-    def test_gated_rows_render_as_skipped(self, gate):
-        baseline = payload(x=3.0, x_monitor=5.0)
-        baseline["requires_python"] = {"x_monitor": "3.12"}
-        current = payload(x=3.0)
-        rows = {row[0]: row for row in gate.delta_rows(baseline, current)}
-        gated = rows["speedup_vs_seed.x_monitor"]
-        assert gated[2] == "—"
-        assert gated[3] == "needs 3.12+" and gated[4] == "skipped"
-
-    def test_main_notes_gated_series(self, gate, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        current_path = tmp_path / "current.json"
-        baseline = payload(x=3.0, x_monitor=5.0)
-        baseline["requires_python"] = {"x_monitor": "3.12"}
-        baseline_path.write_text(json.dumps(baseline))
-        current_path.write_text(json.dumps(payload(x=3.0)))
-        assert (
-            gate.main(
-                ["--baseline", str(baseline_path), "--current", str(current_path)]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "x_monitor" in out and "needs 3.12+" in out and "skipped" in out
-
-
 class TestMain:
     def test_cross_interpreter_comparison_is_skipped(self, gate, tmp_path, capsys):
         baseline_path = tmp_path / "baseline.json"
