@@ -722,9 +722,9 @@ def bench_serve_async(*, requests=800):
     Drives the :class:`~repro.navigation.AsgiNavigationApp` callable
     directly on an event loop (no TCP, no HTTP parsing), so the series
     prices exactly what the async front adds over ``respond()``: scope →
-    environ translation, the hit check and the response message
-    plumbing.  The request repeats one cached page, so it is answered
-    inline on the loop; a miss would add the executor hop.  Committed as
+    environ translation and the response message plumbing.  The request
+    repeats one cached page; every request runs inline on the loop.
+    Committed as
     raw microsecond series (not gated by ``check_regression``): absolute
     percentiles are too hardware-dependent to floor, so the script only
     warns above 40 µs.

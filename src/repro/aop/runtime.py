@@ -80,20 +80,11 @@ class WeaverRuntime:
     honest about members another runtime installed.
     """
 
-    def __init__(
-        self,
-        name: str | None = None,
-        *,
-        shadow_index: ShadowIndex | None = None,
-        watchers: _WatcherCount | None = None,
-        codegen_cache: "codegen.CodegenCache | None" = None,
-    ) -> None:
+    def __init__(self, name: str | None = None) -> None:
         self.name = name or f"runtime-{id(self):x}"
-        self._shadow_index = shadow_index if shadow_index is not None else ShadowIndex()
-        self._watchers = watchers if watchers is not None else _WatcherCount()
-        self._codegen_cache = (
-            codegen_cache if codegen_cache is not None else codegen.CodegenCache()
-        )
+        self._shadow_index = ShadowIndex()
+        self._watchers = _WatcherCount()
+        self._codegen_cache = codegen.CodegenCache()
         self._deployments: list[Deployment] = []
         # Monotonic weave-mutation counter; see the weave_epoch property.
         self._weave_epoch = 0
@@ -1080,9 +1071,7 @@ class DeploymentSet:
 #: The process-default runtime: it owns the module-level shadow index,
 #: cflow-watcher count and codegen cache of :mod:`repro.aop.weaver` and
 #: :mod:`repro.aop.codegen`.
-default_runtime = WeaverRuntime(
-    "default",
-    shadow_index=_default_shadow_index,
-    watchers=_cflow_watchers,
-    codegen_cache=codegen.default_cache,
-)
+default_runtime = WeaverRuntime("default")
+default_runtime._shadow_index = _default_shadow_index
+default_runtime._watchers = _cflow_watchers
+default_runtime._codegen_cache = codegen.default_cache

@@ -6,16 +6,14 @@ routing, sessions, cache semantics, management endpoints —
 under a single event loop:
 
 - :class:`AsgiNavigationApp` adapts a :class:`~repro.navigation.http.\
-NavigationApp` to the ASGI 3 calling convention.  The app is
-  synchronous by design (instance-scope dispatch, join point pools and
-  the session locks are all thread-based).  A page whose skeleton is
-  already cached costs tens of microseconds, less than the hop to a
-  thread, so its :meth:`~repro.navigation.http.NavigationApp.respond`
-  runs inline on the event loop; misses and management calls, which
-  render or weave for a millisecond or more, run on the loop's
-  worker-thread executor.  Both fronts call the *same* ``respond``, so
-  they cannot drift apart — a WSGI response and an ASGI response to the
-  same request are byte-identical.
+NavigationApp` to the ASGI 3 calling convention.  Every request —
+  hit, miss, bypass, 404 or ``/-/`` route — runs its
+  :meth:`~repro.navigation.http.NavigationApp.respond` inline on the
+  event loop: one thread serves the whole front.  ``respond`` is pure
+  Python, so a render on a worker thread would hold the GIL and buy no
+  parallelism, only two thread wake-ups per request.  Both fronts call
+  the *same* ``respond``, so they cannot drift apart — a WSGI response
+  and an ASGI response to the same request are byte-identical.
 - :class:`AsgiHttpServer` binds any ASGI callable under a hand-rolled
   ``asyncio`` HTTP/1.1 server (``asyncio.start_server`` + a minimal
   request parser) — the container has no third-party ASGI server, and
@@ -129,15 +127,15 @@ class AsgiNavigationApp:
 
     HTTP requests are translated to WSGI-shaped environs and answered by
     the wrapped app's :meth:`~repro.navigation.http.NavigationApp.\
-respond`.  Where it runs is decided per request by
-    :meth:`~repro.navigation.http.NavigationApp.would_hit_cache`: a
-    ``GET`` page whose skeleton is cached is answered inline on the
-    event loop, everything else (misses, ``X-Repro-Cache: bypass``, the
-    cache-off tier, 404s and every ``/-/`` route) on the loop's default
-    thread-pool executor — renders stay genuinely concurrent (they are
-    lock-free in the serving layer) while the loop never blocks on one.
-    If a reconfigure lands between the check and ``respond``, the inline
-    request renders the new stack once on the loop: late, never wrong.
+respond`, inline on the event loop, whatever the route.  The app is
+    synchronous and pure Python, so moving a render to a worker thread
+    would not let the loop run beside it: the render holds the GIL, and
+    the loop gets it back only when the render ends or at the next
+    switch interval (:func:`sys.getswitchinterval`, 5 ms by default).
+    A page renders in well under that, so a request arriving mid-render
+    waits about as long either way, and the hop only adds two thread
+    wake-ups and a future per request.  A reconfigure runs inline too,
+    so no render ever sees a half-swapped stack from this front.
     Lifespan scopes are acknowledged so the adapter also runs under
     standard ASGI servers.
     """
@@ -161,13 +159,7 @@ respond`.  Where it runs is decided per request by
             )
         body = await _drain_body(receive)
         environ = build_environ(scope, body)
-        if self._app.would_hit_cache(environ):
-            status, headers, payload = self._app.respond(environ)
-        else:
-            loop = asyncio.get_running_loop()
-            status, headers, payload = await loop.run_in_executor(
-                None, self._app.respond, environ
-            )
+        status, headers, payload = self._app.respond(environ)
         await send(
             {
                 "type": "http.response.start",

@@ -220,9 +220,8 @@ class NavigationApp:
         ``(status, headers, body)`` triple with the routing errors already
         mapped to their HTTP statuses.  Both fronts route through here —
         :meth:`__call__` adds the WSGI calling convention on top, and the
-        ASGI front (:mod:`repro.navigation.asgi`) runs it on its event
-        loop for cache hits and on a worker thread for everything else —
-        so the two cannot drift apart.
+        ASGI front (:mod:`repro.navigation.asgi`) runs it inline on its
+        event loop for every request — so the two cannot drift apart.
         """
         try:
             return self._route(environ)
@@ -236,35 +235,6 @@ class NavigationApp:
             )
             headers.append(("Allow", exc.allowed))
             return status, headers, body
-
-    def would_hit_cache(self, environ) -> bool:
-        """Whether :meth:`respond` would serve *environ* from the page cache.
-
-        True for a ``GET`` page whose skeleton is cached under its
-        audience's current weave epoch.  Free of side effects: it counts
-        no hit or miss, leaves the LRU order alone and opens no session.
-        The answer can go stale at once (a reconfigure may land next), so
-        it only decides where a request runs; :meth:`respond` checks
-        everything again and serves the correct page either way.
-        """
-        path = environ.get("PATH_INFO", "/") or "/"
-        if (
-            environ.get("REQUEST_METHOD", "GET") != "GET"
-            or path.startswith("/-/")
-            or _wants_bypass(environ)
-        ):
-            return False
-        audience, _, page_uri = path.lstrip("/").partition("/")
-        if audience not in self._server.audiences():
-            return False
-        cache = self._server.page_cache(audience)
-        if cache is None:
-            return False
-        try:
-            normalized, _ = resolve_page_target(self._nodes, page_uri)
-        except NavigationError:
-            return False
-        return (normalized, self._server.weave_epoch(audience)) in cache
 
     def _route(self, environ) -> tuple[str, list[tuple[str, str]], bytes]:
         method = environ.get("REQUEST_METHOD", "GET")

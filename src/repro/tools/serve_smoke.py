@@ -17,16 +17,20 @@ demands: concurrent requests against two audiences and two sessions
   session's breadcrumb fragment into a cached skeleton,
 - the child process exits cleanly with no traceback on stderr.
 
-Run under both wrapper tiers in CI (and once with the page cache off)::
+Run under both wrapper tiers in CI (and once with the page cache off,
+once over the asyncio front)::
 
     REPRO_AOP_CODEGEN=1 python -m repro.tools.serve_smoke
     REPRO_AOP_CODEGEN=0 python -m repro.tools.serve_smoke
     python -m repro.tools.serve_smoke --no-cache
+    python -m repro.tools.serve_smoke --asgi
 
 Exit status 0 on success; any failure prints the offending evidence and
 exits 1.  ``--requests`` trims the storm for quick local runs;
 ``--no-cache`` passes ``--no-cache`` to the child's ``serve`` and checks
-that every page reports the cache off.
+that every page reports the cache off; ``--asgi`` passes ``--asgi``, so
+the same scenario runs against the single-threaded ASGI front instead of
+the threaded WSGI one.
 """
 
 from __future__ import annotations
@@ -308,6 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="serve the child with its page cache off",
     )
+    parser.add_argument(
+        "--asgi",
+        action="store_true",
+        help="serve the child over the asyncio ASGI front",
+    )
     options = parser.parse_args(argv)
 
     child = subprocess.Popen(
@@ -321,6 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             "--audiences",
             options.audiences,
             *(["--no-cache"] if options.no_cache else []),
+            *(["--asgi"] if options.asgi else []),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

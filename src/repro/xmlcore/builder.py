@@ -20,7 +20,7 @@ E-factory, bound to an optional namespace:
 
 from __future__ import annotations
 
-from .dom import Comment, Element, Node, ProcessingInstruction, Text
+from .dom import Comment, Element, Node, ProcessingInstruction, Text, _check_orphan
 from .names import QName
 
 
@@ -43,8 +43,16 @@ def build(
     ):
         name = QName(namespaces[None], name)
     element = Element(name, attributes, namespaces=namespaces or {})
+    # The element is fresh: it has no ancestors a child could be, so
+    # adoption skips the cycle walk of ``append``.
+    adopted = element._children
     for child in children:
-        element.append(Text(child) if isinstance(child, str) else child)
+        if isinstance(child, str):
+            child = Text(child)
+        else:
+            _check_orphan(child)
+        child.parent = element
+        adopted.append(child)
     return element
 
 

@@ -77,10 +77,7 @@ class _Container(Node):
         return tuple(self._children)
 
     def _check_insertable(self, node: Node) -> None:
-        if isinstance(node, Document):
-            raise XmlTreeError("a document cannot be a child node")
-        if node.parent is not None:
-            raise XmlTreeError("node already has a parent; detach it first")
+        _check_orphan(node)
         if node is self or any(anc is node for anc in self.ancestors()):
             raise XmlTreeError("insertion would create a cycle")
 
@@ -122,11 +119,18 @@ class _Container(Node):
         notation, or a :class:`QName` (matches the expanded name exactly).
         """
         want = _as_matcher(name)
-        for child in self._children:
-            if isinstance(child, Element):
-                if want(child):
-                    yield child
-                yield from child.iter(name)
+        # One child-list iterator per open level (``iter`` is the builtin
+        # here): pre-order without a nested generator per element.
+        stack = [iter(self._children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    if want(child):
+                        yield child
+                    stack.append(iter(child._children))
+                    break
+            else:
+                stack.pop()
 
     def find(self, name: str | QName | None = None) -> "Element | None":
         """First matching descendant element, or None."""
@@ -145,6 +149,14 @@ class _Container(Node):
             elif isinstance(child, _Container):
                 parts.append(child.text_content())
         return "".join(parts)
+
+
+def _check_orphan(node: Node) -> None:
+    """Refuse a document or an attached node as a new child."""
+    if isinstance(node, Document):
+        raise XmlTreeError("a document cannot be a child node")
+    if node.parent is not None:
+        raise XmlTreeError("node already has a parent; detach it first")
 
 
 def _as_matcher(name: str | QName | None):

@@ -100,6 +100,53 @@ class Serializer:
         in_scope: dict[str | None, str],
         depth: int,
     ) -> None:
+        attrs = None
+        if (
+            not element.namespaces
+            and element.name.namespace is None
+            and not in_scope.get(None)
+        ):
+            attrs = _plain_attributes(element)
+        if attrs is None:
+            tag, attrs, scope = self._qualify(element, in_scope)
+        else:
+            # Namespace-free markup outside any default namespace (inside
+            # one, the tag needs xmlns=""): the general branch would
+            # declare and prefix nothing, so the scope passes down as is.
+            tag, scope = element.name.local, in_scope
+
+        children = element.children
+        pad = "" if self._indent is None else "\n" + self._indent * (depth + 1)
+        closing_pad = "" if self._indent is None else "\n" + self._indent * depth
+
+        if not children:
+            parts.append(f"<{tag}{attrs}/>")
+            return
+        parts.append(f"<{tag}{attrs}>")
+        # Mixed content (any non-whitespace text child) is never re-indented,
+        # because inserting whitespace would change the text.
+        mixed = any(
+            isinstance(child, Text) and (child.value.strip() or len(children) == 1)
+            for child in children
+        )
+        for child in children:
+            if self._indent is not None and not mixed:
+                if isinstance(child, Text) and not child.value.strip():
+                    continue
+                parts.append(pad)
+            self._write(child, parts, scope, depth + 1)
+        if self._indent is not None and not mixed:
+            parts.append(closing_pad)
+        parts.append(f"</{tag}>")
+
+    def _qualify(
+        self, element: Element, in_scope: dict[str | None, str]
+    ) -> tuple[str, str, dict[str | None, str]]:
+        """``(tag, attributes, scope)`` with every namespace resolved.
+
+        The attribute text carries the declarations this element must
+        make first; the scope is what its children see.
+        """
         scope = dict(in_scope)
         declarations: dict[str | None, str] = {}
         for prefix, uri in element.namespaces.items():
@@ -155,30 +202,17 @@ class Serializer:
                 attr_parts.append(f' xmlns:{prefix}="{escape_attribute(uri)}"')
         for written, value in written_attrs:
             attr_parts.append(f' {written}="{escape_attribute(value)}"')
+        return tag, "".join(attr_parts), scope
 
-        children = element.children
-        pad = "" if self._indent is None else "\n" + self._indent * (depth + 1)
-        closing_pad = "" if self._indent is None else "\n" + self._indent * depth
 
-        if not children:
-            parts.append(f"<{tag}{''.join(attr_parts)}/>")
-            return
-        parts.append(f"<{tag}{''.join(attr_parts)}>")
-        # Mixed content (any non-whitespace text child) is never re-indented,
-        # because inserting whitespace would change the text.
-        mixed = any(
-            isinstance(child, Text) and (child.value.strip() or len(children) == 1)
-            for child in children
-        )
-        for child in children:
-            if self._indent is not None and not mixed:
-                if isinstance(child, Text) and not child.value.strip():
-                    continue
-                parts.append(pad)
-            self._write(child, parts, scope, depth + 1)
-        if self._indent is not None and not mixed:
-            parts.append(closing_pad)
-        parts.append(f"</{tag}>")
+def _plain_attributes(element: Element) -> str | None:
+    """The attribute text, or ``None`` if any attribute has a namespace."""
+    written = []
+    for name, value in element._attributes.items():
+        if name.namespace is not None:
+            return None
+        written.append(f' {name.local}="{escape_attribute(value)}"')
+    return "".join(written)
 
 
 def serialize(

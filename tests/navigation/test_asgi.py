@@ -266,8 +266,8 @@ class TestBuildEnviron:
         assert [session.sid for session in app.sessions()] == ["s1-abc"]
 
 
-class TestInlineHits:
-    """Cache hits run on the event loop; everything else on the executor."""
+class TestOneThread:
+    """Every request runs ``respond`` inline, on the event loop's thread."""
 
     @staticmethod
     def record_threads(app, monkeypatch):
@@ -282,35 +282,30 @@ class TestInlineHits:
         monkeypatch.setattr(app, "respond", recording)
         return threads
 
-    def test_warm_hit_runs_on_the_loop_and_the_rest_on_the_executor(
-        self, served, monkeypatch
-    ):
+    def test_every_route_runs_on_the_loop_thread(self, served, monkeypatch):
         _, app = served
         asgi_app = AsgiNavigationApp(app)
         threads = self.record_threads(app, monkeypatch)
-        loop_thread = threading.get_ident()
         page = f"/visitor/{GUITAR}"
         calls = [
-            (page, {}, "miss", False),
-            (page, {}, "hit", True),
-            (page, {"headers": [("X-Repro-Cache", "bypass")]}, "bypass", False),
-            ("/visitor/ghost.html", {}, None, False),
-            ("/stranger/index.html", {}, None, False),
-            ("/-/stats", {}, None, False),
+            (page, {}, "miss"),
+            (page, {}, "hit"),
+            (page, {"headers": [("X-Repro-Cache", "bypass")]}, "bypass"),
+            ("/visitor/ghost.html", {}, None),
+            ("/stranger/index.html", {}, None),
+            ("/-/stats", {}, None),
             (
                 "/-/reconfigure/curator",
                 {"method": "POST", "body": "indexed-guided-tour"},
                 None,
-                False,
             ),
         ]
-        for path, kwargs, outcome, inline in calls:
+        for path, kwargs, outcome in calls:
             _, headers, _ = asgi_call(asgi_app, path, sid="alice", **kwargs)
             assert headers.get("X-Repro-Cache") == outcome, path
-            assert (threads[-1] == loop_thread) is inline, (path, outcome)
-        assert len(threads) == len(calls)
+        assert threads == [threading.get_ident()] * len(calls)
 
-    def test_cache_off_runs_on_the_executor(self, fixture, monkeypatch):
+    def test_cache_off_runs_on_the_loop_thread(self, fixture, monkeypatch):
         config = ServingConfig(cache_enabled=False)
         with AudienceServer(fixture, VISITOR_CURATOR, config=config) as server:
             app = NavigationApp(server)
@@ -322,84 +317,29 @@ class TestInlineHits:
                         asgi_app, f"/visitor/{GUITAR}", sid="alice"
                     )
                     assert headers["X-Repro-Cache"] == "off"
-                    assert threads[-1] != threading.get_ident()
+                assert threads == [threading.get_ident()] * 2
             finally:
                 app.close()
 
-    def test_inline_and_executor_responses_are_byte_identical(
-        self, served, monkeypatch
-    ):
+    def test_reconfigure_between_two_gets_rerenders_the_new_stack(self, served):
         _, app = served
         asgi_app = AsgiNavigationApp(app)
-        walk = ["index.html", GUITAR, "PainterNode/picasso.html", GUITAR]
-        for page in walk:
-            wsgi_call(app, f"/visitor/{page}", sid="warm")
-        inline = [asgi_call(asgi_app, f"/visitor/{p}", sid="alice") for p in walk]
-        monkeypatch.setattr(app, "would_hit_cache", lambda environ: False)
-        hopped = [asgi_call(asgi_app, f"/visitor/{p}", sid="bob") for p in walk]
-        for (a_status, a_headers, a_body), (b_status, b_headers, b_body) in zip(
-            inline, hopped
-        ):
-            assert a_headers.pop("X-Repro-Session") == "alice"
-            assert b_headers.pop("X-Repro-Session") == "bob"
-            assert a_headers["X-Repro-Cache"] == "hit"
-            assert (a_status, a_headers, a_body) == (b_status, b_headers, b_body)
-
-    def test_reconfigure_after_the_check_still_serves_the_new_stack(
-        self, served, monkeypatch
-    ):
-        server, app = served
-        asgi_app = AsgiNavigationApp(app)
         page = f"/visitor/{GUITAR}"
-        _, _, before = wsgi_call(app, page, sid="warm")
+        asgi_call(asgi_app, page, sid="alice")
+        _, headers, before = asgi_call(asgi_app, page, sid="alice")
+        assert headers["X-Repro-Cache"] == "hit"
         assert b'rel="next"' in before  # the guided tour is woven
-        threads = self.record_threads(app, monkeypatch)
-        check = app.would_hit_cache
-
-        def check_then_reconfigure(environ):
-            cached = check(environ)
-            server.reconfigure("visitor", ("index",))
-            return cached
-
-        monkeypatch.setattr(app, "would_hit_cache", check_then_reconfigure)
-        _, headers, body = asgi_call(asgi_app, page, sid="alice")
-        assert threads == [threading.get_ident()]  # decided inline
-        assert headers["X-Repro-Cache"] == "miss"  # respond re-checked
-        assert b'rel="next"' not in body
-        _, _, fresh = wsgi_call(
-            app, page, sid="bob", headers=[("X-Repro-Cache", "bypass")]
+        status, _, _ = asgi_call(
+            asgi_app, "/-/reconfigure/visitor", method="POST", body="index"
         )
-        assert body == fresh
-
-    def test_the_check_counts_nothing_and_opens_no_session(self, fixture):
-        config = ServingConfig(cache_pages=2)
-        with AudienceServer(fixture, VISITOR_CURATOR, config=config) as server:
-            app = NavigationApp(server)
-            try:
-                cache = server.page_cache("visitor")
-                pages = ["index.html", GUITAR, "PainterNode/picasso.html"]
-                wsgi_call(app, f"/visitor/{pages[0]}", sid="warm")
-                wsgi_call(app, f"/visitor/{pages[1]}", sid="warm")
-                before = cache.stats()
-
-                def check(page):
-                    environ = {"REQUEST_METHOD": "GET", "PATH_INFO": page}
-                    return app.would_hit_cache(environ)
-
-                assert check(f"/visitor/{pages[1]}")
-                assert check(f"/visitor/{pages[0]}")
-                assert not check(f"/visitor/{pages[2]}")
-                assert not check("/visitor/ghost.html")
-                assert not check("/-/stats")
-                assert cache.stats() == before
-                assert [s.sid for s in app.sessions()] == ["warm"]
-                # The peek left pages[0] least recently used: the next
-                # store evicts it, not pages[1].
-                wsgi_call(app, f"/visitor/{pages[2]}", sid="warm")
-                assert not check(f"/visitor/{pages[0]}")
-                assert check(f"/visitor/{pages[1]}")
-            finally:
-                app.close()
+        assert status == 200
+        _, headers, after = asgi_call(asgi_app, page, sid="alice")
+        assert headers["X-Repro-Cache"] == "miss"
+        assert b'rel="next"' not in after
+        _, _, fresh = wsgi_call(
+            app, page, sid="alice", headers=[("X-Repro-Cache", "bypass")]
+        )
+        assert after == fresh
 
 
 class _LoopServer:

@@ -1,9 +1,13 @@
 """Tests for the tree-construction helpers."""
 
+import pytest
+
 from repro.xmlcore import (
+    Document,
     ElementMaker,
     QName,
     XLINK_NAMESPACE,
+    XmlTreeError,
     build,
     comment,
     parse_element,
@@ -27,6 +31,25 @@ class TestBuild:
     def test_string_children_become_text(self):
         tree = build("t", {}, "hello ", build("b", {}, "world"))
         assert tree.text_content() == "hello world"
+
+    def test_children_are_adopted_in_order(self):
+        inner = build("b")
+        tree = build("a", {}, "x", inner, "y")
+        assert [child.parent for child in tree.children] == [tree] * 3
+        assert serialize(tree) == "<a>x<b/>y</a>"
+
+    def test_attached_child_rejected(self):
+        inner = build("b")
+        build("a", {}, inner)
+        with pytest.raises(XmlTreeError):
+            build("c", {}, inner)
+        with pytest.raises(XmlTreeError):
+            build("d", {}, build("e"), Document())
+
+    def test_same_child_twice_rejected(self):
+        inner = build("b")
+        with pytest.raises(XmlTreeError):
+            build("a", {}, inner, inner)
 
     def test_namespaces_argument_declares(self):
         tree = build("m", {}, namespaces={None: "urn:x"})

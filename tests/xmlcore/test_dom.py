@@ -148,6 +148,25 @@ class TestTraversal:
         root = parse_element('<m xmlns:x="urn:x"><x:p/><p/></m>')
         assert len(root.findall(QName("urn:x", "p"))) == 1
 
+    def test_iter_is_pre_order_document_order(self):
+        root = parse_element("<a><b><c/><d><e/></d></b>t<f><g/></f><h/></a>")
+        names = [el.name.local for el in root.iter()]
+        assert names == list("bcdefgh")
+        assert names == [
+            node.name.local
+            for node in iter_tree(root)
+            if isinstance(node, Element) and node is not root
+        ]
+
+    def test_iter_sees_children_added_to_a_yielded_element(self):
+        root = parse_element("<a><b/><c/></a>")
+        names = []
+        for el in root.iter():
+            names.append(el.name.local)
+            if el.name.local == "b":
+                el.append(Element("x"))
+        assert names == ["b", "x", "c"]
+
     def test_ancestors_order(self):
         root = parse_element("<a><b><c/></b></a>")
         c = root.find("c")

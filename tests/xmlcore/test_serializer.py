@@ -110,6 +110,15 @@ class TestNamespaceOutput:
         reparsed = parse_element(serialize(outer))
         assert reparsed.child_elements()[0].name == QName(None, "plain")
 
+    def test_plain_markup_below_an_undeclared_default(self):
+        source = '<m xmlns="urn:x"><inner xmlns=""><x a="1">t</x></inner></m>'
+        assert serialize(parse_element(source)) == source
+
+    def test_namespaced_child_of_plain_markup_still_declares(self):
+        outer = build("m", {"a": "1"}, build("p", {}))
+        outer.find("p").append(Element(QName("urn:x", "q")))
+        assert serialize(outer) == '<m a="1"><p><ns0:q xmlns:ns0="urn:x"/></p></m>'
+
     def test_shadowing_round_trip(self):
         source = '<m xmlns:p="urn:one"><inner xmlns:p="urn:two"><p:x/></inner></m>'
         reparsed = parse_element(serialize(parse_element(source)))
