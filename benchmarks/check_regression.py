@@ -108,10 +108,19 @@ _HEADERS = ("series", "committed", "current", "delta", "gated")
 
 
 def format_delta_table(rows: list[tuple[str, str, str, str, str]]) -> str:
-    """The delta rows as an aligned plain-text table."""
-    from repro.metrics import format_table
+    """The delta rows as an aligned plain-text table.
 
-    return format_table(list(_HEADERS), rows)
+    Written here rather than with the package's table helper: the gate
+    reads two JSON files and runs from a bare checkout.
+    """
+    table = [_HEADERS, *rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in table
+    ]
+    lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
+    return "\n".join(lines)
 
 
 def format_delta_markdown(rows: list[tuple[str, str, str, str, str]]) -> str:

@@ -6,8 +6,11 @@ compose?* — answered concretely:
 - **Join points**: the execution of the base renderer's ``render_node``
   and ``render_home`` methods (:class:`repro.core.renderer.PageRenderer`).
 - **Composition**: ``around`` advice lets the base program produce its
-  content-only page, then injects one ``<nav>`` block computed from the
-  separately-specified :class:`~repro.core.navspec.NavigationSpec`.
+  content-only page, then records one nav block on it, computed from the
+  separately-specified :class:`~repro.core.navspec.NavigationSpec`.  The
+  block is data beside the content tree
+  (:meth:`~repro.web.html.HtmlPage.add_nav`); the page writes it as a
+  ``<nav>`` after the content when it is serialized.
 
 The base program never changes; deploying a different aspect instance
 (with a different spec) re-skins the whole site's navigation.
@@ -21,7 +24,7 @@ import posixpath
 from repro.aop import Aspect, around
 from repro.baselines.museum_data import MuseumFixture
 from repro.hypermedia import Anchor, NavigationalContext, Node
-from repro.web import HtmlPage, nav_block
+from repro.web import HtmlPage
 
 from .navspec import NavigationSpec
 
@@ -31,7 +34,8 @@ class NavigationAspect(Aspect):
 
     One instance carries one :class:`NavigationSpec` plus the contexts it
     materializes; advice bodies consult only those — the page content is
-    whatever the base renderer produced.  A node page asks the spec about
+    whatever the base renderer produced, left untouched, and the anchors
+    go beside it as one nav block.  A node page asks the spec about
     the contexts holding that node only, found through a node → contexts
     index, so a render costs the same on a site of any size.
     """
@@ -72,11 +76,8 @@ class NavigationAspect(Aspect):
 
     def _with_nav(self, page: HtmlPage, anchors) -> HtmlPage:
         self.pages_advised += 1
-        if not anchors:
-            return page
-        body = page.tree.find("body")
-        if body is not None:
-            body.append(nav_block(_relativize(anchors, page.path)))
+        if anchors:
+            page.add_nav(_relativize(anchors, page.path))
         return page
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.aop import Aspect, around
 from repro.hypermedia import Anchor
-from repro.web import HtmlPage, nav_block
+from repro.web import HtmlPage
 
 from .aspect import _relativize
 
@@ -55,8 +55,8 @@ class LandmarkAspect(Aspect):
     """Adds the landmark rail to every rendered page.
 
     Runs *after* (inside) the navigation aspect by default (``order = 10``)
-    so the landmark ``<nav>`` block lands before context navigation in the
-    page — deploy order still composes either way.
+    so the landmark nav block (``class="landmarks"``) lands before context
+    navigation in the page — deploy order still composes either way.
     """
 
     order = 10
@@ -78,11 +78,7 @@ class LandmarkAspect(Aspect):
         if not anchors:
             return page
         self.pages_decorated += 1
-        body = page.tree.find("body")
-        if body is not None:
-            rail = nav_block(_relativize(anchors, page.path))
-            rail.set("class", "landmarks")
-            body.append(rail)
+        page.add_nav(_relativize(anchors, page.path), "landmarks")
         return page
 
 

@@ -8,7 +8,7 @@ Section 6 of the paper, end to end:
 2. :class:`XLinkSiteBuilder` plays the XLink-aware browser the paper could
    not have: it transforms each data document with the presentation
    stylesheet and materializes the linkbase's traversals as the page's
-   ``<nav>`` anchors.
+   nav block.
 
 Because pages are *derived*, the change request (index → indexed guided
 tour) regenerates only ``links.xml``; the rebuilt pages change precisely
@@ -27,7 +27,6 @@ from repro.web import (
     Stylesheet,
     heading,
     image,
-    nav_block,
     page_skeleton,
 )
 from repro.xlink import Linkbase, Locator, Show, UriSpace
@@ -141,10 +140,11 @@ class XLinkSiteBuilder:
         body.append(content)
         for aside in self._embeds_from_graph(data_uri, graph):
             body.append(aside)
+        page = HtmlPage(path, html)
         anchors = self._anchors_from_graph(data_uri, path, graph)
         if anchors:
-            body.append(nav_block(anchors))
-        return HtmlPage(path, html)
+            page.add_nav(anchors)
+        return page
 
     def _embeds_from_graph(self, data_uri: str, graph) -> list:
         """Transclusions: arcs with ``xlink:show="embed"`` (XLink §5.6.1).

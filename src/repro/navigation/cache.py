@@ -2,10 +2,12 @@
 
 The serving layer's pages are deterministic for a fixed audience, page
 and deployment state — everything session-variant is confined to the
-breadcrumb trail block, which :meth:`~repro.web.html.HtmlPage.
-skeleton_html` lifts out behind :data:`~repro.web.html.TRAIL_SLOT`.  That
-makes the rendered *skeleton* cacheable, provided the cache key pins down
-the deployment state.  The pin is the **weave epoch**: a monotonic
+breadcrumb trail, a nav block the audience renderer never records: the
+trail is session data, and :meth:`~repro.web.html.HtmlPage.skeleton_html`
+writes :data:`~repro.web.html.TRAIL_SLOT` where a session's
+:func:`~repro.navigation.session.breadcrumb_fragment` goes.  That makes
+the rendered *skeleton* cacheable, provided the cache key pins down the
+deployment state.  The pin is the **weave epoch**: a monotonic
 counter (:attr:`~repro.aop.WeaverRuntime.weave_epoch`, snapshotted per
 audience by :class:`~repro.navigation.serving.AudienceServer`) that
 advances on every weave mutation touching the audience's stack.  A

@@ -236,30 +236,37 @@ class BreadcrumbTrail:
             self._entries = replacement
 
 
-def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
-    """The trail ``<nav>`` for a page at *path*, given prior *crumbs*.
-
-    ``None`` when there is nothing to show (first visit).  The DOM form:
-    :class:`BreadcrumbAspect` appends it into the rendered tree.  The
-    serving layer emits the same block as a string with
-    :func:`breadcrumb_fragment`; a byte-parity property test pins the two
-    together, with this builder as the reference.
-    """
-    if not crumbs:
-        return None
-    from repro.web import TRAIL_NAV_CLASS, anchor_list
-    from repro.xmlcore import build
-
-    directory = posixpath.dirname(path)
-    anchors = [
+def _crumb_anchors(crumbs: "list[tuple[str, str]]", path: str) -> list[Anchor]:
+    """The trail's anchors, with hrefs relative to a page at *path*."""
+    directory = posixpath.dirname(path) or "."
+    return [
         Anchor(
             label=title,
-            href=posixpath.relpath(crumb_path, directory or "."),
+            href=posixpath.relpath(crumb_path, directory),
             rel="breadcrumb",
         )
         for crumb_path, title in crumbs
     ]
-    return build("nav", {"class": TRAIL_NAV_CLASS}, anchor_list(anchors))
+
+
+def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
+    """The trail ``<nav>`` for a page at *path*, given prior *crumbs*.
+
+    ``None`` when there is nothing to show (first visit).  The DOM form,
+    kept as the reference: no render builds it.  :class:`BreadcrumbAspect`
+    records the same anchors as a nav block, which the page writes with
+    :func:`~repro.web.html.nav_html`, and the serving layer writes the
+    block with :func:`breadcrumb_fragment`; a byte-parity property test
+    pins both to this builder.
+    """
+    if not crumbs:
+        return None
+    from repro.web import anchor_list
+    from repro.xmlcore import build
+
+    return build(
+        "nav", {"class": TRAIL_NAV_CLASS}, anchor_list(_crumb_anchors(crumbs, path))
+    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -280,10 +287,12 @@ def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:
     straight from the crumbs with the serializer's own escapes: this runs
     on every served page, and the DOM round trip cost more than the rest
     of a cache hit.  It is exactly the fragment
-    :meth:`~repro.web.html.HtmlPage.skeleton_html` lifts out of a rendered
-    page, so skeleton-plus-fragment assembly produces the same bytes
-    whether the fragment came from a live render or from the session's
-    trail.
+    :meth:`~repro.web.html.HtmlPage.skeleton_html` returns for a page
+    carrying the trail block, so skeleton-plus-fragment assembly produces
+    the same bytes whether the fragment came from a live render or from
+    the session's trail.  It keeps its own loop rather than building a
+    :class:`~repro.web.html.NavBlock` for :func:`~repro.web.html.nav_html`:
+    the detour costs a measurable share of a cache hit.
     """
     if not crumbs:
         return ""
@@ -306,10 +315,11 @@ class BreadcrumbAspect(Aspect):
     splices :func:`breadcrumb_fragment` into the audience's page instead,
     which produces the same bytes without weaving anything per session.
 
-    The trail block is a ``<nav class="breadcrumbs">`` appended after the
-    page content (and after whatever audience navigation wrapped it),
-    listing the *previously* visited pages with hrefs relativized to the
-    rendered page's path.
+    The trail is a nav block of class ``breadcrumbs`` recorded on the
+    page after whatever audience navigation wrapped it, listing the
+    *previously* visited pages with hrefs relativized to the rendered
+    page's path; the page writes it as a ``<nav class="breadcrumbs">``
+    after the content.
     """
 
     def __init__(self, *, limit: int = 8, trail: BreadcrumbTrail | None = None):
@@ -332,13 +342,8 @@ class BreadcrumbAspect(Aspect):
         with self._count_lock:
             self.pages_advised += 1
         crumbs = self.trail.record(page.path, page.title or page.path)
-        nav = breadcrumb_nav(crumbs, page.path)
-        if nav is None:
-            return page
-        body = page.tree.find("body")
-        if body is None:
-            return page
-        body.append(nav)
+        if crumbs:
+            page.add_nav(_crumb_anchors(crumbs, page.path), TRAIL_NAV_CLASS)
         return page
 
 

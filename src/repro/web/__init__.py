@@ -11,12 +11,14 @@ from .html import (
     TRAIL_NAV_CLASS,
     TRAIL_SLOT,
     HtmlPage,
+    NavBlock,
     anchor_element,
     anchor_list,
     compose_page,
     heading,
     image,
     nav_block,
+    nav_html,
     page_skeleton,
     paragraph,
 )
@@ -27,6 +29,7 @@ __all__ = [
     "ChangeImpact",
     "FileDelta",
     "HtmlPage",
+    "NavBlock",
     "TRAIL_NAV_CLASS",
     "TRAIL_SLOT",
     "SiteError",
@@ -44,6 +47,7 @@ __all__ = [
     "heading",
     "image",
     "nav_block",
+    "nav_html",
     "page_skeleton",
     "paragraph",
     "unified_diff",

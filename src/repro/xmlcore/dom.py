@@ -338,13 +338,6 @@ class Element(_Container):
         self.append(node)
         return node
 
-    def child_index(self, child: Node) -> int:
-        """Position of *child* among this element's children."""
-        for i, c in enumerate(self._children):
-            if c is child:
-                return i
-        raise XmlTreeError("node is not a child of this element")
-
     def element_index(self) -> int:
         """1-based position of this element among its element siblings.
 

@@ -13,6 +13,7 @@ from repro.core import (
     default_museum_landmarks,
     default_museum_spec,
 )
+from repro.xmlcore import parse
 
 
 @pytest.fixture()
@@ -103,8 +104,9 @@ class TestComposition:
     def test_landmark_rail_is_marked(self, fixture):
         site = build_with(fixture, LandmarkAspect(default_museum_landmarks()))
         page = site.page("PaintingNode/guitar.html")
-        (nav,) = page.tree.findall("nav")
+        (nav,) = parse(page.html()).root_element.findall("nav")
         assert nav.get("class") == "landmarks"
+        assert [a.get("rel") for a in nav.findall("a")] == ["landmark"]
 
     def test_decoration_counter(self, fixture):
         aspect = LandmarkAspect(default_museum_landmarks())

@@ -4,15 +4,27 @@ import pytest
 
 from repro.baselines import museum_fixture, synthetic_museum
 from repro.core import (
+    LandmarkAspect,
     NavigationAspect,
     NavigationWeaver,
     PageRenderer,
     build_plain_site,
     build_woven_site,
     build_woven_site_stacked,
+    default_museum_landmarks,
     default_museum_spec,
 )
-from repro.navigation import UserAgent
+from repro.hypermedia.access import Anchor
+from repro.navigation import DEFAULT_AUDIENCES, BreadcrumbAspect, UserAgent
+from repro.xmlcore import parse
+
+
+def written_anchors(page):
+    """The anchors of *page* as served: read back from its markup."""
+    return [
+        Anchor(a.text_content(), a.get("href") or "", a.get("rel") or "link")
+        for a in parse(page.html()).root_element.findall("a")
+    ]
 
 
 @pytest.fixture()
@@ -23,14 +35,17 @@ def fixture():
 class TestWovenSite:
     def test_navigation_confined_to_nav_blocks(self, fixture):
         site = build_woven_site(fixture, default_museum_spec("index"))
+        checked = 0
         for page in site.pages():
-            for a in page.tree.findall("a"):
+            for a in parse(page.html()).root_element.findall("a"):
                 enclosing = [
                     anc.name.local
                     for anc in a.ancestors()
                     if hasattr(anc, "name")
                 ]
                 assert "nav" in enclosing, f"anchor outside <nav> in {page.path}"
+                checked += 1
+        assert checked > 0
 
     def test_no_dangling_links(self, fixture):
         site = build_woven_site(fixture, default_museum_spec("indexed-guided-tour"))
@@ -82,6 +97,41 @@ class TestWovenSite:
             assert serialize(before.page(path).content_region()) == serialize(
                 after.page(path).content_region()
             )
+
+
+class TestAnchorOrder:
+    """``page.anchors()`` lists the anchors the written page shows, in order."""
+
+    @pytest.mark.parametrize("landmarks", [False, True], ids=["", "landmarks"])
+    @pytest.mark.parametrize("trail", [False, True], ids=["", "trail"])
+    @pytest.mark.parametrize("audience", [b.name for b in DEFAULT_AUDIENCES])
+    def test_anchors_match_the_written_page(self, fixture, audience, trail, landmarks):
+        from repro.aop import WeaverRuntime
+
+        (bundle,) = [b for b in DEFAULT_AUDIENCES if b.name == audience]
+        aspects = [
+            NavigationAspect(default_museum_spec(name), fixture)
+            for name in bundle.access_structures
+        ]
+        if landmarks:
+            aspects.append(LandmarkAspect(default_museum_landmarks()))
+        if trail:
+            aspects.append(BreadcrumbAspect())
+        weaver = WeaverRuntime()
+        for aspect in aspects:
+            weaver.weave(PageRenderer, aspect)
+        try:
+            renderer = PageRenderer(fixture)
+            nodes = renderer.node_inventory()
+            # The second round renders every page with a trail behind it.
+            for _ in range(2 if trail else 1):
+                for page in [renderer.render_home()] + [
+                    renderer.render_node(node) for node in nodes
+                ]:
+                    assert page.navs, page.path
+                    assert page.anchors() == written_anchors(page), page.path
+        finally:
+            weaver.undeploy_all()
 
 
 class TestNavigationAspect:

@@ -1,5 +1,7 @@
 """Tests for navigation sessions: the context-dependent semantics of §2."""
 
+import posixpath
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,10 @@ from repro.navigation import (
     NavigationSession,
     SessionRecord,
 )
+from repro.hypermedia.access import Anchor
 from repro.navigation.session import breadcrumb_fragment, breadcrumb_nav
-from repro.xmlcore import serialize
+from repro.web import TRAIL_NAV_CLASS, NavBlock, nav_block, nav_html
+from repro.xmlcore import build, comment, serialize
 
 
 @pytest.fixture()
@@ -222,20 +226,63 @@ _titles = st.one_of(
     st.text(max_size=12),
     st.text(alphabet=list("<>&\"'\t\n\r é漢🙂"), max_size=12),
 )
+# Entries (any rel but a step's) and steps, interleaved: a block may hold
+# entries only, steps only, both or none.
+_entry_rels = st.one_of(
+    st.sampled_from(["entry", "landmark", "breadcrumb", "index", "link"]), _titles
+).filter(lambda rel: rel not in ("prev", "next"))
+_entries = st.builds(Anchor, _titles, _titles, _entry_rels)
+_steps = st.builds(Anchor, _titles, _titles, st.sampled_from(["prev", "next"]))
+_nav_anchors = st.tuples(
+    st.lists(_entries, max_size=4), st.lists(_steps, max_size=3)
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+def _at_depth(node, depth):
+    """*node* as the only child of *depth* nested wrappers."""
+    for level in range(depth):
+        node = build(f"d{level}", {}, node)
+    return node
+
+
+def _dom_nav(anchors, css_class):
+    nav = nav_block(anchors)
+    if css_class is not None:
+        nav.set("class", css_class)
+    return nav
 
 
 class TestBreadcrumbFragment:
-    """The serving fragment is the DOM trail block, byte for byte."""
+    """The string emitters write the DOM nav blocks, byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         crumbs=st.lists(st.tuples(_site_paths, _titles), min_size=1, max_size=8),
         path=_site_paths,
+        anchors=_nav_anchors,
+        css_class=st.sampled_from([None, "landmarks", TRAIL_NAV_CLASS]),
+        indent=st.sampled_from([None, "  ", "\t"]),
+        depth=st.integers(0, 3),
     )
-    def test_matches_the_serialized_dom_form(self, crumbs, path):
-        assert breadcrumb_fragment(crumbs, path) == serialize(
-            breadcrumb_nav(crumbs, path)
+    def test_matches_the_serialized_dom_form(
+        self, crumbs, path, anchors, css_class, indent, depth
+    ):
+        # nav_html at a depth is the serializer's <nav> at that depth.
+        written = nav_html(NavBlock(tuple(anchors), css_class), indent, depth)
+        dom = serialize(_at_depth(_dom_nav(anchors, css_class), depth), indent=indent)
+        slot = serialize(_at_depth(comment("slot"), depth), indent=indent)
+        assert slot.replace("<!--slot-->", written) == dom
+        # The trail's own loop writes the trail block nav_html writes.
+        directory = posixpath.dirname(path) or "."
+        trail = NavBlock(
+            tuple(
+                Anchor(title, posixpath.relpath(crumb_path, directory), "breadcrumb")
+                for crumb_path, title in crumbs
+            ),
+            TRAIL_NAV_CLASS,
         )
+        fragment = breadcrumb_fragment(crumbs, path)
+        assert fragment == nav_html(trail) == serialize(breadcrumb_nav(crumbs, path))
 
     def test_covers_root_same_directory_and_empty_title_shapes(self):
         crumbs = [

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +182,31 @@ class TestDeltaTable:
         summary = summary_path.read_text()
         assert summary.startswith("existing\n")  # appended, not clobbered
         assert "speedup_vs_seed.x" in summary
+
+
+def test_runs_as_a_script_from_a_bare_checkout(tmp_path):
+    """The documented command, with no ``repro`` importable."""
+    (tmp_path / "baseline.json").write_text(json.dumps(payload(x=3.0)))
+    (tmp_path / "current.json").write_text(json.dumps(payload(x=3.1)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(_MODULE_PATH),
+            "--baseline",
+            "baseline.json",
+            "--current",
+            "current.json",
+        ],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    header, rule, row = result.stdout.splitlines()[:3]
+    assert header.split() == ["series", "committed", "current", "delta", "gated"]
+    assert set(rule) == {"-"}
+    assert row.split() == ["speedup_vs_seed.x", "3x", "3.1x", "+3.3%", "yes"]
+    assert "gate passed" in result.stdout
