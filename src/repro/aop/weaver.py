@@ -212,15 +212,33 @@ class _ChainSelector:
 # -- shadows -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MethodShadow:
-    """A method the weaver may wrap: where it is reachable and its code."""
+    """A method the weaver may wrap: where it is reachable and its code.
 
-    cls: type
-    name: str
-    original: Callable
-    #: True when the method is inherited (the wrapper becomes an override).
-    inherited: bool
+    Holds its class weakly.  A :class:`ShadowIndex` caches scans in a
+    weak-keyed map, and a value that referred to its own key strongly
+    would keep every class the index ever scanned alive as long as the
+    index — every generated subclass a long-lived runtime wove, say.
+    """
+
+    __slots__ = ("_cls", "name", "original", "inherited")
+
+    def __init__(self, cls: type, name: str, original: Callable, inherited: bool):
+        self._cls = weakref.ref(cls)
+        self.name = name
+        self.original = original
+        #: True when the method is inherited (the wrapper becomes an override).
+        self.inherited = inherited
+
+    @property
+    def cls(self) -> type:
+        return self._cls()
+
+    def __repr__(self) -> str:
+        return (
+            f"MethodShadow(cls={self.cls!r}, name={self.name!r}, "
+            f"inherited={self.inherited!r})"
+        )
 
 
 def _scan_method_shadows(cls: type) -> tuple[MethodShadow, ...]:
@@ -315,18 +333,6 @@ class _TokenBoard:
             weakref.WeakKeyDictionary()
         )
         self._counter = 0
-
-    @property
-    def counter(self) -> int:
-        """The monotonic stamp counter (the board-wide invalidation clock).
-
-        Every :meth:`bump` advances it, so reading it cheaply answers "has
-        *any* class been invalidated since I last looked?" — the signal
-        the serving layer's weave epochs derive from: a cached artifact
-        recorded under an older counter value may describe classes a
-        weaver has since rewritten.
-        """
-        return self._counter
 
     def token(self, cls: type) -> int:
         """The stamp of the last invalidation that hit *cls* (0 = never)."""

@@ -109,7 +109,6 @@ def build_audience_sites(
     bundles: Iterable[AudienceBundle],
     *,
     specs_by_access: Mapping[str, NavigationSpec] | None = None,
-    weaver: WeaverRuntime | None = None,
     lint: str | None = None,
 ) -> dict[str, StaticSite]:
     """One stacked site per audience bundle — one runtime, one class scan.
@@ -133,12 +132,10 @@ def build_audience_sites(
     from repro.navigation.config import ServingConfig
     from repro.navigation.serving import AudienceServer
 
-    weaver = weaver or WeaverRuntime("audience-sites")
     with AudienceServer(
         fixture,
         bundles,
         specs_by_access=specs_by_access,
-        runtime=weaver,
         config=ServingConfig(lint=lint),
     ) as server:
         return {

@@ -71,16 +71,6 @@ class PageCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: "tuple[str, int]") -> bool:
-        """Whether ``(page_uri, epoch)`` is stored, counting nothing.
-
-        A peek: hit and miss counters and the LRU order stay as they
-        were, so a caller can ask where a request should run without
-        disturbing what :meth:`get` reports.
-        """
-        with self._lock:
-            return key in self._entries
-
     def get(self, page_uri: str, epoch: int) -> CachedSkeleton | None:
         """The entry for *page_uri* at *epoch*, or ``None`` (counted)."""
         key = (page_uri, epoch)

@@ -181,7 +181,6 @@ class AudienceServer:
         bundles: Iterable[AudienceBundle] | None = None,
         *,
         specs_by_access: Mapping[str, Any] | None = None,
-        runtime: WeaverRuntime | None = None,
         config: ServingConfig | None = None,
     ):
         from repro.core import PageRenderer
@@ -195,9 +194,7 @@ class AudienceServer:
         # statically-broken weaves up front.
         self._lint = config.lint
         self._specs: dict[str, Any] = dict(specs_by_access or {})
-        self._runtime = (
-            runtime if runtime is not None else WeaverRuntime("audience-server")
-        )
+        self._runtime = WeaverRuntime("audience-server")
         self._bundles: dict[str, AudienceBundle] = {}
         self._renderers: dict[str, Any] = {}
         self._scopes: dict[str, InstanceScope] = {}

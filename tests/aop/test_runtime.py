@@ -459,6 +459,27 @@ class TestDeployedRollback:
         interference.undeploy()
 
 
+class TestScannedClassesAreCollectable:
+    def test_runtime_does_not_pin_a_woven_and_undeployed_class(self):
+        """A scan cached by a long-lived runtime must not keep its class."""
+        import gc
+        import weakref
+
+        runtime = WeaverRuntime("collectable")
+        base = fresh_target()
+        generated = type("Generated", (base,), {})
+        assert runtime.shadow_index.shadows(generated)
+        with runtime.transaction([generated]) as tx:
+            tx.add(make_tagger("gen", []))
+        assert generated().op() == "op"
+        tx.undeploy()
+        assert runtime.deployments == []
+        probe = weakref.ref(generated)
+        del generated, tx
+        gc.collect()
+        assert probe() is None
+
+
 class TestVectorizedShadowScan:
     def test_scan_matches_member_semantics(self):
         class Base:
