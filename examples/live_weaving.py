@@ -8,8 +8,8 @@ The landmark aspect is composed on top, showing two navigation concerns
 woven independently.
 
 The second act serves **two audiences at once** from one live process:
-an :class:`AudienceServer` weaves one renderer *instance* per audience
-(instance-scoped deployments over the shared ``PageRenderer`` class), so
+an :class:`AudienceServer` weaves each audience's stack into a private
+``PageRenderer`` subclass (the base class is never woven), so
 a visitor browsing the guided tour and a curator browsing the bare index
 get different navigation from the same base program, concurrently — and
 reconfiguring one audience leaves the other's pages untouched.
@@ -77,8 +77,8 @@ def main() -> None:
 
 
 def serve_two_audiences(fixture) -> None:
-    """Two audiences, one live process, one woven renderer class."""
-    print("\n== serving two audiences live (instance-scoped weaving) ==\n")
+    """Two audiences, one live process, one woven renderer subclass each."""
+    print("\n== serving two audiences live (one generation each) ==\n")
     bundles = [
         AudienceBundle("visitor", ("index", "guided-tour")),
         AudienceBundle("curator", ("index",)),

@@ -86,8 +86,6 @@ class WeaverRuntime:
         self._watchers = _WatcherCount()
         self._codegen_cache = codegen.CodegenCache()
         self._deployments: list[Deployment] = []
-        # Monotonic weave-mutation counter; see the weave_epoch property.
-        self._weave_epoch = 0
 
     def __repr__(self) -> str:
         return f"<WeaverRuntime {self.name!r} ({len(self.deployments)} active)>"
@@ -112,35 +110,6 @@ class WeaverRuntime:
     @property
     def deployments(self) -> list[Deployment]:
         return list(self._deployments)
-
-    @property
-    def weave_epoch(self) -> int:
-        """A monotonic counter of this runtime's weave mutations.
-
-        Advances on every successful deployment and :meth:`undeploy`
-        — the only operations that change what this runtime's woven
-        members compute — in lockstep with the
-        :class:`~repro.aop.weaver._TokenBoard` stamps those operations
-        produce.  For a fixed set of inputs, anything derived from woven
-        output (a rendered page, a serialized site) is reusable exactly
-        while the epoch it was recorded under is still current; the
-        serving layer's page cache keys on it.  Never reset, so an epoch
-        value can never come back around to alias a different weave
-        state.
-        """
-        return self._weave_epoch
-
-    def advance_epoch(self) -> int:
-        """Advance the weave epoch by hand; returns the new value.
-
-        For layers that compose several deploy/undeploy calls into one
-        logical mutation (the serving layer's ``reconfigure``) and need
-        a fresh epoch *fence* at a point where no individual weave has
-        happened yet — marking everything derived so far as superseded
-        before the mutation begins, and again after it completes.
-        """
-        self._weave_epoch += 1
-        return self._weave_epoch
 
     # -- deployment -----------------------------------------------------------
 
@@ -405,14 +374,10 @@ class WeaverRuntime:
             # caller is never left with class mutations it has no handle
             # to undo.
             _rollback_partial_weave(deployment, index)
-            # The revert is best-effort; advance the epoch so nothing
-            # cached across the failed weave is ever trusted.
-            self._weave_epoch += 1
             raise
         if inner_pointcuts:
             self._watchers.watch()
             deployment._tracks_cflow = True
-        self._weave_epoch += 1
         self._deployments.append(deployment)
         return deployment
 
@@ -551,11 +516,6 @@ class WeaverRuntime:
         index = (
             deployment._index if deployment._index is not None else self._shadow_index
         )
-        watchers = (
-            deployment._watchers
-            if deployment._watchers is not None
-            else self._watchers
-        )
         touched: set[type] = set()
         try:
             for member in reversed(deployment.members):
@@ -579,20 +539,27 @@ class WeaverRuntime:
                 index.restore_after_revert(
                     cls, snapshot, woven_token=woven_token, pre_token=pre_token
                 )
-        _release_marker_state(deployment)
-        if deployment._tracks_cflow:
-            watchers.unwatch()
-            deployment._tracks_cflow = False
         self._retire(deployment)
 
     def _retire(self, deployment: Deployment) -> None:
-        """Mark *deployment* undone and forget it: the runtime holds only
-        live deployments, so an undeployed aspect (and whatever it keeps
-        alive) is released with the caller's last handle."""
+        """Mark *deployment* done and forget it, reverting nothing.
+
+        Releases its scope markers and its cflow-watcher count.  The
+        runtime holds only live deployments, so the aspect (and whatever
+        it keeps alive) is released with the caller's last handle.
+        """
+        _release_marker_state(deployment)
+        if deployment._tracks_cflow:
+            watchers = (
+                deployment._watchers
+                if deployment._watchers is not None
+                else self._watchers
+            )
+            watchers.unwatch()
+            deployment._tracks_cflow = False
         deployment.active = False
         if deployment in self._deployments:
             self._deployments.remove(deployment)
-        self._weave_epoch += 1
 
     def undeploy_all(self) -> None:
         """Reverse every active deployment, most recent first."""
@@ -691,7 +658,6 @@ class WeaverRuntime:
                 scopes[id(deployment.scope)] = deployment.scope
         return {
             "name": self.name,
-            "weave_epoch": self._weave_epoch,
             "deployments": len(self.deployments),
             "instance_scoped": sum(1 for d in self.deployments if d.scope is not None),
             "scopes": {
@@ -993,7 +959,6 @@ class DeploymentSet:
         revert*, so a raising ``with`` block never leaks grafted members.
         """
         index = self._runtime.shadow_index
-        watchers = self._runtime.watchers
         self._batch = _BatchScans(index)  # derived scans describe dead wrappers
         for entry in reversed(self._entries):
             deployment = entry.deployment
@@ -1005,10 +970,21 @@ class DeploymentSet:
                 # Strict undeploy refused (non-LIFO interleaving): fall
                 # back to the forgiving unwind and keep rolling back.
                 _rollback_partial_weave(deployment, index)
-                if deployment._tracks_cflow:
-                    watchers.unwatch()
-                    deployment._tracks_cflow = False
                 self._runtime._retire(deployment)
+        self._entries.clear()
+
+    def retire(self) -> None:
+        """Take the set's deployments out of the runtime, reverting nothing.
+
+        For weaves over classes their owner is discarding (a private
+        subclass made for one weave): the classes stay woven, so code
+        still holding one of their instances keeps running the whole
+        stack, while the runtime stops counting the deployments and their
+        cflow and marker bookkeeping is released.
+        """
+        for entry in reversed(self._entries):
+            if entry.deployment.active:
+                self._runtime._retire(entry.deployment)
         self._entries.clear()
 
     def undeploy(self, deployments: Iterable[Deployment] | None = None) -> None:

@@ -116,14 +116,11 @@ def build_audience_sites(
     This is the ROADMAP's "per-audience navigation bundles" scenario: the
     same base program serves several audiences, each seeing a different
     *stack* of access structures (say, guided tour + index for visitors,
-    index only for curators).  Every bundle weaves one
-    :class:`PageRenderer` *instance* through instance-scoped deployments,
-    so the whole batch lives in a single :class:`~repro.aop.WeaverRuntime`
-    and a single transactional deployment set: one shadow scan of the
-    renderer class covers every audience, all the stacks are deployed
-    side by side (earlier revisions had to deploy → build → undeploy each
-    audience sequentially), and the ``finally`` undeploy restores the
-    class exactly.
+    index only for curators).  Every bundle is woven into a private
+    :class:`PageRenderer` subclass by one
+    :class:`~repro.navigation.AudienceServer`, so all the stacks are
+    deployed side by side and :class:`PageRenderer` itself is never
+    woven.
 
     ``specs_by_access`` maps access-structure names to prebuilt specs;
     each unresolved name is built once via :func:`default_museum_spec` and
@@ -215,7 +212,7 @@ class NavigationWeaver:
         points, a :meth:`reconfigure` between two requests changes the
         navigation of pages rendered afterwards.
         """
-        return LazyWovenProvider(self._renderer)
+        return LazyWovenProvider(lambda: self._renderer)
 
     def __enter__(self) -> "NavigationWeaver":
         return self.deploy()

@@ -7,8 +7,8 @@ navigation" — see :class:`NavigationSession` for the context-dependent
 
 The serving layer (:mod:`repro.navigation.serving`) turns the paper's
 "navigation is a swappable aspect" claim into a live multi-audience
-process: an :class:`AudienceServer` holds one instance-scoped navigation
-stack per :class:`AudienceBundle` over a single woven renderer class,
+process: an :class:`AudienceServer` weaves each :class:`AudienceBundle`'s
+navigation stack into a private renderer subclass,
 serves lazy per-audience page providers concurrently, and reconfigures
 one audience's navigation without disturbing the others::
 

@@ -1,6 +1,6 @@
 """A multi-process serving cluster with consistent-hash session sharding.
 
-One serving process holds every audience's instance-scoped stack and
+One serving process holds every audience's woven stack and
 every session's trail; this module scales that across *processes*:
 
 - :class:`HashRing` — consistent hashing (SHA-1, virtual nodes) from

@@ -2,13 +2,13 @@
 
 The ROADMAP's production rung: the live multi-audience process behind a
 real (threaded WSGI) HTTP server.  ``GET /{audience}/{page_uri}`` renders
-the page through that audience's instance-scoped navigation stack — one
-woven renderer class, every audience's stack live simultaneously — and
-splices in the requesting session's breadcrumb trail:
+the page through that audience's current generation — a renderer
+subclass woven with the audience's navigation stack alone — and splices
+in the requesting session's breadcrumb trail:
 
 - a session is plain data (:class:`~repro.navigation.serving.SessionTier`:
   id, audience, trail); nothing is woven per session;
-- every page is an audience-level skeleton (cached per weave epoch, or
+- every page is an audience-level skeleton (cached per renderer, or
   rendered fresh when the cache is off or bypassed) with the session's
   trail fragment spliced over its slot, so two users of one audience
   each see only their own footsteps;
@@ -21,9 +21,9 @@ first response) or an explicit ``X-Repro-Session`` request header.
 
 The management surface lives under ``/-/``:
 
-- ``GET /-/stats`` — scope-aware :meth:`~repro.aop.WeaverRuntime.stats`
-  (dispatch tiers, join point pools, codegen counters) plus per-audience
-  scope sizes and live session counts, as JSON;
+- ``GET /-/stats`` — :meth:`~repro.aop.WeaverRuntime.stats` (dispatch
+  tiers, join point pools, codegen counters) plus each audience's
+  generation number, cache counters and live session counts, as JSON;
 - ``POST /-/reconfigure/{audience}`` — swap one audience's stack while
   requests are in flight (body: comma-separated access-structure names,
   or JSON ``{"access_structures": [...]}``); every other audience's — and
@@ -36,7 +36,7 @@ Run it::
 or embed it: :class:`NavigationApp` is a plain WSGI callable, and
 :func:`make_wsgi_server` binds it under a threaded ``wsgiref`` server
 (one OS thread per in-flight request — genuine request concurrency over
-the instance-scope dispatchers and join point pools).
+the woven renderers and join point pools).
 """
 
 from __future__ import annotations
@@ -297,20 +297,19 @@ class NavigationApp:
         session, minted = self._session_for(environ, audience)
         bypass = _wants_bypass(environ)
         cache = None if bypass else self._server.page_cache(audience)
+        # Read once: the lookup, the render and the store all use this
+        # generation's renderer, even if a reconfigure publishes another
+        # meanwhile.
+        renderer = self._server.renderer(audience)
         if cache is None:
             outcome = "bypass" if bypass else "off"
-            entry = self._render_skeleton(audience, node)
+            entry = _render_skeleton(renderer, node)
         else:
-            # The epoch is snapshotted *before* the render: a weave
-            # mutation landing mid-render moves the audience to a newer
-            # epoch, so the skeleton we install stays keyed under the
-            # superseded one and no later request can hit it.
-            epoch = self._server.weave_epoch(audience)
-            entry = cache.get(normalized, epoch)
+            entry = cache.get(normalized, renderer)
             if entry is None:
                 outcome = "miss"
-                entry = self._render_skeleton(audience, node)
-                cache.put(normalized, epoch, entry)
+                entry = _render_skeleton(renderer, node)
+                cache.put(normalized, renderer, entry)
             else:
                 outcome = "hit"
         # One assembly for every outcome: the trail grows by the same
@@ -329,22 +328,6 @@ class NavigationApp:
         headers.append(("X-Repro-Cache", outcome))
         self._latency[audience].record((time.perf_counter() - started) * 1e6)
         return "200 OK", headers, body
-
-    def _render_skeleton(self, audience: str, node: Any) -> CachedSkeleton:
-        """Render *node* (``None``: home) through the audience renderer.
-
-        The skeleton is audience-level: only the audience's navigation is
-        woven into it, and the slot where a trail goes is left empty.
-        """
-        renderer = self._server.renderer(audience)
-        if node is None:
-            page = renderer.render_home()
-        else:
-            page = renderer.render_node(node)
-        skeleton, _ = page.skeleton_html()
-        return CachedSkeleton(
-            skeleton=skeleton, title=page.title or page.path, path=page.path
-        )
 
     def _reconfigure(self, environ, audience: str):
         # ValueError -> 400 only here: a malformed body or an unknown
@@ -526,8 +509,7 @@ class NavigationApp:
                 "access_structures": list(
                     self._server.bundle(audience).access_structures
                 ),
-                "scope_instances": len(self._server.scope(audience)),
-                "weave_epoch": self._server.weave_epoch(audience),
+                "generation": self._server.generation(audience),
                 "requests": latency.pop("count"),
                 "latency": latency,
                 "cache": {"enabled": cache is not None}
@@ -538,6 +520,22 @@ class NavigationApp:
             "sessions": sessions,
             "runtime": self._server.runtime.stats(),
         }
+
+
+def _render_skeleton(renderer: Any, node: Any) -> CachedSkeleton:
+    """Render *node* (``None``: home) through an audience renderer.
+
+    The skeleton is audience-level: only the audience's navigation is
+    woven into it, and the slot where a trail goes is left empty.
+    """
+    if node is None:
+        page = renderer.render_home()
+    else:
+        page = renderer.render_node(node)
+    skeleton, _ = page.skeleton_html()
+    return CachedSkeleton(
+        skeleton=skeleton, title=page.title or page.path, path=page.path
+    )
 
 
 # -- WSGI plumbing -------------------------------------------------------------

@@ -1,14 +1,12 @@
-"""Live multi-audience serving over instance-scoped weaving.
+"""Live multi-audience serving: one immutable generation per audience.
 
 The paper's claim is that navigation is a swappable aspect over an
 untouched base program; the production question is serving *several
-audiences at once* from one live process.  Class-level weaving cannot do
-that — two differently-configured navigation stacks woven into the shared
-renderer class would both fire on every page.  Instance-scoped
-deployments (:meth:`repro.aop.WeaverRuntime.weave` with ``instances=``)
-can: every audience gets its own renderer *instance*, its navigation
-aspects are scoped to exactly that instance, and all the deployments stay
-live side by side in **one** runtime woven from **one** class scan.
+audiences at once* from one live process, and swapping one audience's
+navigation while requests are in flight.  Every audience is served by a
+:class:`Generation`: a private ``PageRenderer`` subclass with the
+audience's stack woven into it class-wide.  The base class is never
+woven, and no two audiences share a woven class.
 
 :class:`AudienceServer` is that arrangement held as an object::
 
@@ -22,23 +20,24 @@ live side by side in **one** runtime woven from **one** class scan.
         server.reconfigure("curator", ("indexed-guided-tour",))
         curator.open("index.html")          # new nav; visitor untouched
 
-Pages render on demand through :class:`LazyWovenProvider`, so a
+Pages render on demand through :class:`LazyWovenProvider`, which resolves
+the audience's current generation on every page, so a
 :meth:`~AudienceServer.reconfigure` between two requests changes what the
-*next* page shows — for that audience only.  Reconfiguration rides the
-runtime's transactional machinery: the audience's deployments are
-partially undeployed (survivors re-weave with their original instance
-scopes, so the other audiences' pages stay byte-identical) and the new
-stack is added to the same deployment set.
+*next* page shows — for that audience only.  A reconfigure builds the
+new generation beside the old one and publishes it with one store: every
+page is rendered by exactly one complete stack, old or new.
 """
 
 from __future__ import annotations
 
+import functools
 import posixpath
 import threading
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 from urllib.parse import unquote
 
-from repro.aop import Aspect, Deployment, InstanceScope, WeaverRuntime
+from repro.aop import Aspect, Deployment, DeploymentSet, WeaverRuntime
 
 from .agent import PageAnchor, PageView
 from .audience import DEFAULT_AUDIENCES, AudienceBundle
@@ -117,26 +116,27 @@ class LazyWovenProvider:
     renderer's deployed join points, reconfiguring the weave between two
     requests changes the navigation of pages rendered afterwards.
 
-    Accepts a :class:`~repro.core.renderer.PageRenderer` (or anything
-    exposing the same ``render_home``/``render_node``/``node_inventory``
-    surface, including a ``.renderer``-bearing wrapper like
-    :class:`~repro.core.weave.NavigationWeaver`).
+    *current* is a zero-argument callable returning the renderer to use:
+    a :class:`~repro.core.renderer.PageRenderer`, or anything exposing
+    the same ``render_home``/``render_node``/``node_inventory`` surface.
+    It is called once per :meth:`page`, so a provider over an
+    :class:`AudienceServer` audience follows every reconfigure.
     """
 
-    def __init__(self, renderer: Any):
-        renderer = getattr(renderer, "renderer", renderer)
-        self._renderer = renderer
+    def __init__(self, current: Callable[[], Any]):
+        self._current = current
         # Normalized URI -> node, computed once from the inventory.
-        self._nodes = build_node_map(renderer)
+        self._nodes = build_node_map(current())
 
     def page(self, uri: str) -> PageView:
         from repro.xlink import resolve_uri
 
         normalized, node = resolve_page_target(self._nodes, uri)
+        renderer = self._current()
         if node is None:
-            page = self._renderer.render_home()
+            page = renderer.render_home()
         else:
-            page = self._renderer.render_node(node)
+            page = renderer.render_node(node)
         anchors = [
             PageAnchor(
                 label=a.label,
@@ -148,31 +148,45 @@ class LazyWovenProvider:
         return PageView(uri=normalized, title=page.title, anchors=anchors)
 
 
+@dataclass(frozen=True)
+class Generation:
+    """One audience's navigation as served: immutable once published.
+
+    ``renderer`` is an instance of a ``PageRenderer`` subclass made for
+    this generation alone, and ``weave`` is the transaction that wove the
+    bundle's stack class-wide into that subclass.  ``number`` counts the
+    audience's generations from 1.
+    """
+
+    number: int
+    bundle: AudienceBundle
+    renderer: Any
+    weave: DeploymentSet
+
+
 class AudienceServer:
     """Serve every audience's navigation live from one woven process.
 
-    One :class:`~repro.aop.WeaverRuntime`, one transactional
-    :class:`~repro.aop.DeploymentSet`, one shadow scan of the renderer
-    class: each audience bundle gets a private renderer instance and one
-    instance-scoped :class:`~repro.core.aspect.NavigationAspect`
-    deployment per stacked access structure.  All audiences' deployments
-    are live simultaneously; the per-shadow dispatch routes each render
-    call to the receiving renderer's own navigation stack.
+    Each audience is served by one :class:`Generation`: a private
+    ``PageRenderer`` subclass with the audience's stack of
+    :class:`~repro.core.aspect.NavigationAspect` deployments woven into
+    it class-wide, one per access structure.  Pointcuts match through the
+    MRO, so ``PageRenderer`` itself is never mutated, and one
+    :class:`~repro.aop.WeaverRuntime` counts every audience's live
+    deployments.
 
     ``specs_by_access`` maps access-structure names to prebuilt specs;
     unresolved names are built once via
     :func:`~repro.core.navspec.default_museum_spec` and shared across
     every bundle that stacks them.
 
-    **One scope per audience, none per session.**  Each audience's
-    deployments share one *persistent* :class:`~repro.aop.InstanceScope`
-    holding the audience's renderer, kept across :meth:`reconfigure`, so
-    the number of scopes and deployments is bounded by the audiences
-    served.  A session is plain data (:class:`SessionTier`): its
-    breadcrumb trail is spliced into pages the audience renderer
-    produced, so opening, serving and evicting sessions never touches the
-    weave.  All weave *mutations* are serialized on an internal lock;
-    renders stay lock-free and concurrent.
+    **A swap is one store.**  :meth:`reconfigure` builds the new
+    generation beside the old one and publishes it with one dict store,
+    so every render runs exactly one complete stack: a request that took
+    the old renderer finishes on the old, still-woven subclass.  A
+    session is plain data (:class:`SessionTier`), so opening, serving and
+    evicting sessions never touches the weave.  Reconfigures are
+    serialized on an internal lock; renders stay lock-free.
     """
 
     def __init__(
@@ -183,8 +197,6 @@ class AudienceServer:
         specs_by_access: Mapping[str, Any] | None = None,
         config: ServingConfig | None = None,
     ):
-        from repro.core import PageRenderer
-
         self._fixture = fixture
         if config is None:
             config = ServingConfig()
@@ -195,38 +207,26 @@ class AudienceServer:
         self._lint = config.lint
         self._specs: dict[str, Any] = dict(specs_by_access or {})
         self._runtime = WeaverRuntime("audience-server")
-        self._bundles: dict[str, AudienceBundle] = {}
-        self._renderers: dict[str, Any] = {}
-        self._scopes: dict[str, InstanceScope] = {}
-        self._aspects: dict[str, list[Any]] = {}
-        #: Audience -> snapshot of the runtime's weave epoch taken after
-        #: the last mutation touching that audience's stack; the page
-        #: cache keys on it (readers snapshot it lock-free).
-        self._epochs: dict[str, int] = {}
+        self._generations: dict[str, Generation] = {}
         #: Audience -> skeleton cache (``None`` when the tier is off).
         self._caches: dict[str, PageCache | None] = {}
         self._providers: dict[str, LazyWovenProvider] = {}
         self._closed = False
         self._lock = threading.RLock()
-        self._tx = self._runtime.transaction([PageRenderer])
         try:
             for bundle in bundles if bundles is not None else DEFAULT_AUDIENCES:
-                if bundle.name in self._renderers:
+                if bundle.name in self._generations:
                     raise NavigationError(
                         f"duplicate audience bundle {bundle.name!r}"
                     )
-                renderer = PageRenderer(fixture)
-                self._renderers[bundle.name] = renderer
-                self._scopes[bundle.name] = InstanceScope([renderer])
-                self._weave(bundle)
-                self._epochs[bundle.name] = self._runtime.weave_epoch
+                self._generations[bundle.name] = self._build(bundle.name, bundle, 1)
                 self._caches[bundle.name] = (
                     PageCache(config.cache_pages) if config.cache_enabled else None
                 )
         except BaseException:
-            self._tx.rollback()
+            for generation in self._generations.values():
+                generation.weave.retire()
             raise
-        self._tx.commit()
 
     # -- construction helpers --------------------------------------------------
 
@@ -238,62 +238,44 @@ class AudienceServer:
             spec = self._specs[access] = default_museum_spec(access)
         return spec
 
-    def _weave(self, bundle: AudienceBundle) -> None:
-        from repro.core import NavigationAspect
+    def _build(self, audience: str, bundle: AudienceBundle, number: int) -> Generation:
+        """Weave *bundle* into a fresh renderer subclass; publishes nothing.
 
-        scope = self._scopes[bundle.name]
+        A failure rolls back only this generation's own transaction.
+        """
+        from repro.core import NavigationAspect, PageRenderer
+
         # Build every aspect first: an unknown access-structure name (or a
-        # broken spec) must fail before any deployment is touched.
+        # broken spec) fails before anything is woven.
         aspects = [
             NavigationAspect(self._spec_for(access), self._fixture)
             for access in bundle.access_structures
         ]
-        added: list[Any] = []
+        cls = type(f"PageRenderer[{audience}:{number}]", (PageRenderer,), {})
+        weave = self._runtime.transaction([cls])
         try:
             for aspect in aspects:
-                self._tx.add(aspect, instances=scope, lint=self._lint)
-                added.append(aspect)
+                weave.add(aspect, lint=self._lint)
         except BaseException:
-            # Unwind the partial stack so the audience is never left with
-            # deployments no bookkeeping entry tracks.
-            partial = set(map(id, added))
-            live = [d for d in self._tx.deployments if id(d.aspect) in partial]
-            if live:
-                self._tx.undeploy(live)
+            weave.rollback()
             raise
-        self._bundles[bundle.name] = bundle
-        self._aspects[bundle.name] = aspects
+        weave.commit()
+        return Generation(number, bundle, cls(self._fixture), weave)
 
     def _require(self, audience: str) -> None:
         if self._closed:
             raise NavigationError("audience server is closed")
-        if audience not in self._bundles:
+        if audience not in self._generations:
             raise NavigationError(
                 f"no audience {audience!r} "
-                f"(serving: {', '.join(sorted(self._bundles)) or 'none'})"
+                f"(serving: {', '.join(sorted(self._generations)) or 'none'})"
             )
-
-    def _bump_epoch(self, audience: str | None) -> None:
-        """Move *audience* (or every audience) to a fresh weave epoch.
-
-        Callers hold ``self._lock``.  The fresh value is strictly newer
-        than anything a concurrent reader can have snapshotted, so every
-        skeleton cached before — or rendered across — the mutation is
-        unreachable the moment this returns; the stale generation is
-        reclaimed from the cache eagerly.
-        """
-        fresh = self._runtime.advance_epoch()
-        for name in [audience] if audience is not None else list(self._bundles):
-            self._epochs[name] = fresh
-            cache = self._caches.get(name)
-            if cache is not None:
-                cache.drop_stale(fresh)
 
     # -- the serving surface ---------------------------------------------------
 
     @property
     def runtime(self) -> WeaverRuntime:
-        """The scoped runtime holding every audience's deployments."""
+        """The runtime holding every audience's live deployments."""
         return self._runtime
 
     @property
@@ -308,67 +290,47 @@ class AudienceServer:
 
     def audiences(self) -> list[str]:
         """The audiences currently served, in registration order."""
-        return list(self._bundles)
-
-    def scope(self, audience: str) -> InstanceScope:
-        """The audience's persistent instance scope.
-
-        Every deployment of the audience's stack dispatches through this
-        one scope — across reconfigures — so a renderer in it is advised
-        by whatever the audience's *current* stack is.
-        """
-        self._require(audience)
-        return self._scopes[audience]
+        return list(self._generations)
 
     def bundle(self, audience: str) -> AudienceBundle:
         """The bundle *audience* is currently configured with."""
         self._require(audience)
-        return self._bundles[audience]
+        return self._generations[audience].bundle
+
+    def generation(self, audience: str) -> int:
+        """The number of the generation serving *audience* (1, 2, ...)."""
+        self._require(audience)
+        return self._generations[audience].number
 
     def renderer(self, audience: str) -> Any:
-        """The audience's private (woven) renderer instance."""
-        self._require(audience)
-        return self._renderers[audience]
+        """The audience's current woven renderer instance.
 
-    def deployments(self, audience: str) -> list[Deployment]:
-        """The audience's live deployment handles, oldest first.
-
-        Looked up by aspect identity rather than cached: a partial
-        undeploy (another audience reconfiguring) re-weaves survivors and
-        refreshes their handles.
+        A request reads it once and renders with it throughout; the
+        page cache keys on the object returned here.
         """
         self._require(audience)
-        aspects = set(map(id, self._aspects[audience]))
-        return [d for d in self._tx.deployments if id(d.aspect) in aspects]
+        return self._generations[audience].renderer
+
+    def deployments(self, audience: str) -> list[Deployment]:
+        """The audience's live deployment handles, oldest first."""
+        self._require(audience)
+        return self._generations[audience].weave.deployments
 
     def provider(self, audience: str) -> LazyWovenProvider:
         """A lazy per-audience page provider (created once, then cached).
 
-        Pages render concurrently with every other audience's — each
-        render passes through the shared class's dispatch wrappers and
-        runs only the receiving renderer's navigation stack.
+        Every ``page()`` resolves the audience's current generation, so a
+        provider taken before a reconfigure serves the new stack after it.
         """
         self._require(audience)
         provider = self._providers.get(audience)
         if provider is None:
             provider = self._providers[audience] = LazyWovenProvider(
-                self._renderers[audience]
+                functools.partial(self.renderer, audience)
             )
         return provider
 
     # -- the cache tier --------------------------------------------------------
-
-    def weave_epoch(self, audience: str) -> int:
-        """The epoch *audience*'s stack is currently at (lock-free read).
-
-        A snapshot of :attr:`~repro.aop.WeaverRuntime.weave_epoch` taken
-        under the server lock after the last mutation that touched this
-        audience — ``reconfigure`` or ``close``.  A skeleton rendered and
-        cached under epoch *e* is valid exactly while this still returns
-        *e*.
-        """
-        self._require(audience)
-        return self._epochs[audience]
 
     def page_cache(self, audience: str) -> PageCache | None:
         """The audience's skeleton cache, or ``None`` when the server's
@@ -383,9 +345,9 @@ class AudienceServer:
     ) -> "SessionTier":
         """Open a session over *audience*: a fresh :class:`SessionTier`.
 
-        Plain data: nothing is woven, no lock is taken and no epoch
-        moves, so opening a session costs the same with one or ten
-        thousand live.  *limit* bounds the session's breadcrumb trail.
+        Plain data: nothing is woven and no lock is taken, so opening a
+        session costs the same with one or ten thousand live.  *limit*
+        bounds the session's breadcrumb trail.
         """
         self._require(audience)
         return SessionTier(sid, audience, limit=limit)
@@ -396,55 +358,39 @@ class AudienceServer:
         """Swap one audience's navigation stack without disturbing the rest.
 
         *bundle* is an :class:`AudienceBundle` or a bare iterable of
-        access-structure names.  The audience's deployments are undeployed
-        through the set (LIFO unwind, other audiences' survivors re-woven
-        with their original instance scopes) and the new stack is added in
-        their place; the audience keeps its renderer instance, so existing
-        providers and agents see the new navigation on their next request.
-        The work is bounded by the audiences served: sessions hold no
-        weave state, so none is re-stacked.
-
-        Failure-safe: the new bundle's specs are resolved *before* the old
-        stack is disturbed (an unknown access-structure name raises with
-        the audience untouched), and if weaving the new stack fails anyway
-        the previous stack is re-woven before the exception propagates.
+        access-structure names.  The new generation is built beside the
+        old one; if that fails (an unknown access-structure name, a lint
+        refusal) only its own transaction rolls back and the old
+        generation keeps serving.  Then the new generation is published
+        with one store, the audience's cache drops the old renderer's
+        skeletons, and the old weave is retired without being reverted,
+        so a request that took the old renderer still renders its whole
+        stack.  No other audience's weave is touched.
         """
         with self._lock:
             self._require(audience)
             if not isinstance(bundle, AudienceBundle):
                 bundle = AudienceBundle(audience, tuple(bundle))
-            for access in bundle.access_structures:
-                self._spec_for(access)
-            # Epoch fence *before* the first weave mutation: requests
-            # that snapshotted the pre-reconfigure epoch can no longer
-            # install skeletons under a key any later reader will hit.
-            self._bump_epoch(audience)
-            previous = self._bundles[audience]
-            old = self.deployments(audience)
-            if old:
-                self._tx.undeploy(old)
-            try:
-                self._weave(bundle)
-            except BaseException:
-                self._weave(previous)
-                raise
-            finally:
-                # Closing fence: anything rendered *during* the swap was
-                # keyed under the opening fence's epoch and dies here, so
-                # the first post-reconfigure request re-renders.
-                self._bump_epoch(audience)
+            old = self._generations[audience]
+            self._generations[audience] = self._build(
+                audience, bundle, old.number + 1
+            )
+            cache = self._caches[audience]
+            if cache is not None:
+                cache.drop_stale(self.renderer(audience))
+            old.weave.retire()
 
     def close(self) -> None:
-        """Undeploy every audience's stack and release the renderer class."""
+        """Retire every audience's weave; ``PageRenderer`` was never woven."""
         with self._lock:
             if self._closed:
                 return
-            self._bump_epoch(None)
-            for cache in self._caches.values():
+            self._closed = True
+            for audience, generation in self._generations.items():
+                cache = self._caches[audience]
                 if cache is not None:
                     cache.clear()
-            self._closed = True
-            self._tx.undeploy()
+                generation.weave.retire()
 
     def __enter__(self) -> "AudienceServer":
         return self

@@ -14,7 +14,7 @@ one via ``--painters/--paintings``):
   scripts (or an explicit ``--stack``) and verify every generated
   wrapper template, without deploying anything; the CI lint gate.
 - ``serve`` — serve every audience live over HTTP (threaded WSGI, one
-  instance-scoped stack per audience, sessions as plain data).
+  woven renderer subclass per audience, sessions as plain data).
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def cmd_aop_inspect(args: argparse.Namespace) -> int:
     then rolls the whole set back — the renderer class leaves this
     command exactly as it entered.  With ``--audiences``, an
     :class:`~repro.navigation.AudienceServer` is stood up instead and
-    every audience's *instance-scoped* deployments are reported per
-    scope (instance count, tiers, codegen stats).
+    every audience's deployments are reported with the renderer
+    subclass they are woven into (tiers, codegen stats).
     """
     fixture = _fixture(args)
     if args.audiences:
@@ -199,7 +199,7 @@ def cmd_aop_inspect(args: argparse.Namespace) -> int:
 
 
 def _aop_inspect_audiences(args: argparse.Namespace, fixture) -> int:
-    """Stand up a live audience server and report its per-scope rows."""
+    """Stand up a live audience server and report one row per deployment."""
     from repro.navigation import DEFAULT_AUDIENCES, AudienceServer
 
     names = [a.strip() for a in args.audiences.split(",") if a.strip()]
@@ -216,6 +216,7 @@ def _aop_inspect_audiences(args: argparse.Namespace, fixture) -> int:
         rows = []
         for audience in server.audiences():
             bundle = server.bundle(audience)
+            woven = type(server.renderer(audience)).__name__
             for deployment in server.deployments(audience):
                 per = runtime.deployment_stats(deployment)
                 rows.append(
@@ -223,7 +224,7 @@ def _aop_inspect_audiences(args: argparse.Namespace, fixture) -> int:
                         audience,
                         "+".join(bundle.access_structures),
                         per.aspect,
-                        f"{per.scope_instances} inst",
+                        woven,
                         str(per.method_members),
                         str(len(per.codegen_sources)),
                         str(per.pools),
@@ -235,13 +236,13 @@ def _aop_inspect_audiences(args: argparse.Namespace, fixture) -> int:
                     "audience",
                     "stack",
                     "aspect",
-                    "scope",
+                    "woven class",
                     "methods",
                     "codegen",
                     "pools",
                 ],
                 rows,
-                title=f"Instance scopes: {' + '.join(names)}",
+                title=f"Audience generations: {' + '.join(names)}",
             )
         )
         _print_woven_sites(runtime, "Woven sites (all audiences)")
@@ -708,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--audiences",
         help=(
             "serve these stock audience bundles live (comma-separated, e.g. "
-            "visitor,curator) and report per-scope rows instead of --stack"
+            "visitor,curator) and report per-audience rows instead of --stack"
         ),
     )
     inspect.add_argument(

@@ -168,6 +168,9 @@ def drive(base: str, requests_per_session: int, *, cache: bool = True) -> None:
     _check('rel="next"' not in curator, "curator shows the visitor's tour")
 
     # Phase 1: concurrent sessions, no bleed anywhere.
+    status, raw = _get(base, "/-/stats")
+    _check(status == 200, f"stats returned {status}")
+    deployments_before = json.loads(raw)["runtime"]["deployments"]
     _storm(base, requests_per_session)
 
     # Phase 2: expected failures stay well-formed HTTP errors.
@@ -207,16 +210,20 @@ def drive(base: str, requests_per_session: int, *, cache: bool = True) -> None:
         stats["sessions"]["active"] == 4,
         f"expected 4 live sessions, saw {stats['sessions']['active']}",
     )
-    runtime = stats["runtime"]
-    _check(
-        runtime["instance_scoped"] == runtime["deployments"],
-        "expected every deployment to be instance-scoped",
+    # The runtime holds exactly the audiences' stacks, and sessions
+    # weave nothing.
+    deployments = stats["runtime"]["deployments"]
+    stacked = sum(
+        len(audience["access_structures"])
+        for audience in stats["audiences"].values()
     )
-    # Sessions weave nothing: one scope per audience, holding its renderer.
-    audiences = len(stats["audiences"])
     _check(
-        runtime["scopes"] == {"count": audiences, "instances": audiences},
-        f"scopes grew past one per audience: {runtime['scopes']}",
+        deployments == stacked,
+        f"{deployments} live deployments for {stacked} stacked structures",
+    )
+    _check(
+        deployments_before == stacked,
+        f"sessions changed the weave: {deployments_before} -> {deployments}",
     )
 
     # Phase 5: the skeleton cache end to end — warm repeats hit, a
@@ -235,7 +242,7 @@ def drive(base: str, requests_per_session: int, *, cache: bool = True) -> None:
             f"cache disabled but outcome is {headers.get('X-Repro-Cache')!r}",
         )
         return
-    epoch_before = stats["audiences"]["visitor"]["weave_epoch"]
+    generation_before = stats["audiences"]["visitor"]["generation"]
     _, h1, body1 = _get_full(base, f"/visitor/{GUITAR}", "smoke-v1")
     _, h2, body2 = _get_full(base, f"/visitor/{GUITAR}", "smoke-v1")
     _check(
@@ -258,8 +265,8 @@ def drive(base: str, requests_per_session: int, *, cache: bool = True) -> None:
     status, raw = _get(base, "/-/stats")
     after = json.loads(raw)["audiences"]["visitor"]
     _check(
-        after["weave_epoch"] > epoch_before,
-        f"reconfigure left the weave epoch at {after['weave_epoch']}",
+        after["generation"] > generation_before,
+        f"reconfigure left the visitor at generation {after['generation']}",
     )
     _check(after["cache"]["hits"] >= 1, f"no cache hits counted: {after['cache']}")
     # smoke-v2 fetches the page smoke-v1 just cached: a hit whose trail

@@ -1,15 +1,15 @@
-"""The weave-epoch page cache: keys, invalidation, fragment assembly.
+"""The per-generation page cache: keys, invalidation, fragment assembly.
 
-The tentpole suite for the serving hot path's skeleton cache: the
-:class:`PageCache` LRU itself, the epoch surface
-(:attr:`WeaverRuntime.weave_epoch` and the per-audience snapshots on
-:class:`AudienceServer`), cache hit/miss/bypass behaviour over the HTTP
-front (including byte parity between a hit and the miss that installed
-it), the ``cache_enabled=False`` switch, and — the concurrency
-bar — N session threads hammering one page while a mid-flight
-``reconfigure`` bumps the epoch, under both wrapper tiers: nobody ever
-observes a stale (pre-reconfigure) skeleton after the swap, and nobody
-ever sees another session's breadcrumb fragment.
+The suite for the serving hot path's skeleton cache: the
+:class:`PageCache` LRU itself, keyed on the renderer that rendered each
+skeleton, the per-audience generations of :class:`AudienceServer`,
+cache hit/miss/bypass behaviour over the HTTP front (including byte
+parity between a hit and the miss that installed it), the
+``cache_enabled=False`` switch, and — the concurrency bar — N session
+threads hammering one page while a mid-flight ``reconfigure`` publishes
+a new generation, under both wrapper tiers: nobody ever observes a stale
+(pre-reconfigure) skeleton after the swap, and nobody ever sees another
+session's breadcrumb fragment.
 """
 
 import io
@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.aop import Aspect, WeaverRuntime, before
+from repro.aop import WeaverRuntime
 from repro.baselines import museum_fixture
 from repro.navigation import (
     AudienceBundle,
@@ -88,12 +88,13 @@ def entry(tag):
 class TestPageCache:
     def test_get_put_and_counters(self):
         cache = PageCache(4)
-        assert cache.get("a.html", 1) is None
-        cache.put("a.html", 1, entry("a"))
-        hit = cache.get("a.html", 1)
+        first, second = object(), object()
+        assert cache.get("a.html", first) is None
+        cache.put("a.html", first, entry("a"))
+        hit = cache.get("a.html", first)
         assert hit is not None and hit.title == "a"
-        # A different epoch is a different key entirely.
-        assert cache.get("a.html", 2) is None
+        # A different renderer is a different key entirely.
+        assert cache.get("a.html", second) is None
         assert cache.stats() == {
             "entries": 1,
             "max_entries": 4,
@@ -115,49 +116,37 @@ class TestPageCache:
 
     def test_drop_stale_reclaims_superseded_epochs(self):
         cache = PageCache(8)
-        cache.put("a.html", 1, entry("a"))
-        cache.put("b.html", 1, entry("b"))
-        cache.put("c.html", 3, entry("c"))
-        assert cache.drop_stale(3) == 2
+        old, new = object(), object()
+        cache.put("a.html", old, entry("a"))
+        cache.put("b.html", old, entry("b"))
+        cache.put("c.html", new, entry("c"))
+        assert cache.drop_stale(new) == 2
         assert len(cache) == 1
-        assert cache.get("c.html", 3) is not None
+        assert cache.get("c.html", new) is not None
         assert cache.stats()["invalidations"] == 2
+        # A render that straddled the swap cannot park a retired entry.
+        cache.put("a.html", old, entry("a"))
+        assert len(cache) == 1
 
     def test_rejects_degenerate_capacity(self):
         with pytest.raises(ValueError):
             PageCache(0)
 
 
-class TestWeaveEpoch:
-    def test_runtime_epoch_advances_on_deploy_and_undeploy(self):
-        class Probe:
-            def ping(self):
-                return 1
-
-        class ProbeAspect(Aspect):
-            @before("execution(Probe.ping)")
-            def note(self, jp):
-                pass
-
-        runtime = WeaverRuntime("epoch-probe")
-        e0 = runtime.weave_epoch
-        deployment = runtime.weave(Probe, ProbeAspect()).deployments[0]
-        assert runtime.weave_epoch > e0
-        e1 = runtime.weave_epoch
-        runtime.undeploy(deployment)
-        assert runtime.weave_epoch > e1
-        assert runtime.stats()["weave_epoch"] == runtime.weave_epoch
-
+class TestGenerations:
     def test_reconfigure_bumps_only_the_target_audience(self, fixture):
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
-            visitor_before = server.weave_epoch("visitor")
-            curator_before = server.weave_epoch("curator")
+            visitor = server.renderer("visitor")
+            curator = server.renderer("curator")
+            assert server.generation("curator") == 1
             server.reconfigure("curator", ("indexed-guided-tour",))
-            assert server.weave_epoch("curator") > curator_before
-            assert server.weave_epoch("visitor") == visitor_before
+            assert server.generation("curator") == 2
+            assert server.renderer("curator") is not curator
+            assert server.generation("visitor") == 1
+            assert server.renderer("visitor") is visitor
 
     def test_sessions_leave_the_cache_warm(self, fixture):
-        """Opening and evicting sessions never moves an audience's epoch.
+        """Opening and evicting sessions never changes an audience's renderer.
 
         If it did, each arrival would flush the whole audience cache.
         """
@@ -168,12 +157,12 @@ class TestWeaveEpoch:
                 ServingConfig(session_idle_timeout=10.0),
                 clock=lambda: clock[0],
             )
-            visitor_before = server.weave_epoch("visitor")
+            visitor_before = server.renderer("visitor")
             for n in range(50):
                 clock[0] = float(n)
                 assert call(app, f"/visitor/{GUITAR}", sid=f"s{n}")[0] == 200
             assert app.stats()["sessions"]["evicted_total"] > 0
-            assert server.weave_epoch("visitor") == visitor_before
+            assert server.renderer("visitor") is visitor_before
             assert server.page_cache("visitor").stats()["hits"] == 49
             app.close()
 
@@ -310,13 +299,13 @@ class TestCachedServing:
             assert h["X-Repro-Cache"] == "off"
             app.close()
 
-    def test_stats_surface_cache_counters_and_epoch(self, fixture):
+    def test_stats_surface_cache_counters_and_generation(self, fixture):
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             app = NavigationApp(server)
             call(app, f"/visitor/{GUITAR}", sid="a")
             call(app, f"/visitor/{GUITAR}", sid="a")
             visitor = app.stats()["audiences"]["visitor"]
-            assert visitor["weave_epoch"] == server.weave_epoch("visitor")
+            assert visitor["generation"] == server.generation("visitor") == 1
             assert visitor["cache"]["enabled"] is True
             assert visitor["cache"]["hits"] == 1
             assert visitor["cache"]["misses"] >= 1

@@ -71,16 +71,15 @@ class TestSessionTier:
     def test_context_manager_unwinds_everything(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
             deployments = len(server.runtime.deployments)
-            epoch = server.weave_epoch("visitor")
+            renderer = server.renderer("visitor")
             with server.session_tier("visitor", "alice", limit=4) as tier:
                 assert isinstance(tier, SessionTier)
                 assert (tier.sid, tier.audience) == ("alice", "visitor")
                 tier.trail.record("index.html", "Home")
                 assert tier.snapshot().trail == (("index.html", "Home"),)
-                # Nothing woven, nothing scoped, no epoch moved.
+                # Nothing woven, no new generation.
                 assert len(server.runtime.deployments) == deployments
-                assert len(server.scope("visitor")) == 1
-                assert server.weave_epoch("visitor") == epoch
+                assert server.renderer("visitor") is renderer
             assert len(tier.trail) == 0
 
     def test_close_is_idempotent_and_blocks_deploys(self, fixture):

@@ -2,7 +2,7 @@
 
 Covers the acceptance bar for serving: routing over
 :class:`NavigationApp` (audiences, pages, management endpoints), cookie /
-header session identity, sessions as plain data (one instance scope per
+header session identity, sessions as plain data (one woven renderer per
 audience, nothing woven per session), idle-timeout eviction in last-seen
 order, live ``reconfigure`` through the management surface, and — the
 concurrency suite — N threads with one session each interleaved with a
@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.aop import codegen
+from repro.aop import DeploymentSet, codegen
 from repro.baselines import museum_fixture
 from repro.core import PageRenderer
 from repro.navigation import (
@@ -170,11 +170,10 @@ class TestSessions:
         for sid in ("alice", "bob", "carol"):
             call(app, "/visitor/index.html", sid=sid, bypass=True)
         after = server.runtime.stats()
-        # One scope per audience holding its one renderer, whatever the
-        # number of sessions; no deployment or join point pool added.
-        assert len(server.scope("visitor")) == 1
-        assert after["scopes"] == {"count": len(VISITOR_CURATOR), "instances": 2}
-        for key in ("deployments", "woven_sites", "weave_epoch"):
+        # The audiences' stacks and nothing more, whatever the number of
+        # sessions; no deployment or join point pool added.
+        assert after["deployments"] == 3
+        for key in ("deployments", "woven_sites"):
             assert after[key] == before[key]
         assert after["pools"]["count"] == before["pools"]["count"]
 
@@ -231,7 +230,12 @@ class TestEviction:
         clock = [0.0]
 
         def markers():
-            return {name for name in vars(PageRenderer) if "_aop_scope_" in name}
+            return {
+                name
+                for cls in (PageRenderer, type(server.renderer("visitor")))
+                for name in vars(cls)
+                if "_aop_scope_" in name
+            }
 
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             app = NavigationApp(
@@ -252,7 +256,7 @@ class TestEviction:
             assert app.evict_idle() == 1
             assert app.sessions() == []
             assert markers() == audience_markers
-            assert len(server.scope("visitor")) == 1
+            assert len(server.runtime.deployments) == 3
             app.close()
 
     def test_eviction_follows_last_seen_order(self, fixture):
@@ -309,18 +313,17 @@ class TestManagementSurface:
             "index",
             "guided-tour",
         ]
-        assert stats["audiences"]["visitor"]["scope_instances"] == 1
+        assert stats["audiences"]["visitor"]["generation"] == 1
         assert stats["sessions"]["active"] == 1
         assert stats["sessions"]["by_audience"] == {"visitor": 1}
         runtime = stats["runtime"]
-        assert runtime["instance_scoped"] == runtime["deployments"]
+        assert runtime["deployments"] == 3
         # Pool counters ride the generated wrappers; the generic tier
         # reports the aggregate keys with no per-shadow pools behind them.
         if codegen.codegen_enabled():
             assert runtime["pools"]["count"] >= 1
         else:
             assert runtime["pools"]["count"] >= 0
-        assert runtime["scopes"] == {"count": 2, "instances": 2}
 
     def test_reconfigure_changes_only_the_target_audience(self, served):
         _, app = served
@@ -380,13 +383,13 @@ class TestManagementSurface:
             call(app, "/curator/index.html", sid=f"c{n}")
         _, _, visitor_before = call(app, f"/visitor/{GUITAR}", sid="v0")
         added = []
-        real_add = server._tx.add
+        real_add = DeploymentSet.add
 
-        def counting_add(aspect, *args, **kwargs):
+        def counting_add(tx, aspect, *args, **kwargs):
             added.append(type(aspect).__name__)
-            return real_add(aspect, *args, **kwargs)
+            return real_add(tx, aspect, *args, **kwargs)
 
-        monkeypatch.setattr(server._tx, "add", counting_add)
+        monkeypatch.setattr(DeploymentSet, "add", counting_add)
         server.reconfigure("curator", ("indexed-guided-tour",))
         assert added == ["NavigationAspect"]
         _, _, curator = call(app, f"/curator/{GUITAR}", sid="c0")
@@ -491,8 +494,6 @@ class TestSessionScopeConcurrency:
             app.close()
             assert app.sessions() == []
             assert len(server.runtime.deployments) == 3
-            assert len(server.scope("visitor")) == 1
-            assert len(server.scope("curator")) == 1
         assert not hasattr(PageRenderer.render_node, "__woven__")
 
 

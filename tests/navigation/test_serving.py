@@ -152,6 +152,7 @@ class TestAudienceServer:
         assert not hasattr(PageRenderer.render_node, "__woven__")
 
     def test_one_runtime_one_class_scan(self, fixture, monkeypatch):
+        """One scan per generation's renderer class; the base is never woven."""
         scans = []
         real_scan = weaver_mod._scan_method_shadows
 
@@ -161,8 +162,10 @@ class TestAudienceServer:
 
         monkeypatch.setattr(weaver_mod, "_scan_method_shadows", counting_scan)
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
-            assert scans.count(PageRenderer) == 1
-            assert server.runtime.stats()["instance_scoped"] == 3
+            woven = [type(server.renderer(a)) for a in server.audiences()]
+            assert scans == woven
+            assert all(issubclass(cls, PageRenderer) for cls in woven)
+            assert len(server.runtime.deployments) == 3
 
     def test_reconfigure_leaves_other_audience_byte_identical(self, fixture):
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
@@ -395,3 +398,123 @@ class TestReconfigureReleasesOldStacks:
                 if isinstance(obj, NavigationAspect) and obj.fixture is fixture
             }
             assert reachable == live
+
+
+class TestGenerationSwap:
+    """A reconfigure publishes a whole new stack; nothing is torn."""
+
+    STACKS = {
+        "visitor": (("index", "guided-tour"), ("index",)),
+        "curator": (("index",), ("indexed-guided-tour",)),
+    }
+    PAGES = [None, "guitar", "guernica", "violin"]
+
+    def skeletons(self, renderer, fixture):
+        return tuple(
+            (
+                renderer.render_home()
+                if painting is None
+                else renderer.render_node(fixture.painting_node(painting))
+            ).skeleton_html()[0]
+            for painting in self.PAGES
+        )
+
+    def test_threaded_renders_see_whole_stacks_across_reconfigures(self, fixture):
+        import io
+        import sys
+        import time
+
+        reference = {}
+        for audience, stacks in self.STACKS.items():
+            for stack in stacks:
+                bundles = [AudienceBundle(audience, stack)]
+                with AudienceServer(fixture, bundles) as solo:
+                    reference[audience, stack] = self.skeletons(
+                        solo.renderer(audience), fixture
+                    )
+        allowed = {
+            audience: {reference[audience, stack] for stack in stacks}
+            for audience, stacks in self.STACKS.items()
+        }
+        bundles = [AudienceBundle(a, s[0]) for a, s in self.STACKS.items()]
+        errors: list[BaseException] = []
+        torn: list[str] = []
+        stop = threading.Event()
+        with AudienceServer(fixture, bundles) as server:
+            app = NavigationApp(server)
+
+            def render(audience: str) -> None:
+                n = 0
+                try:
+                    while not stop.is_set():
+                        got = self.skeletons(server.renderer(audience), fixture)
+                        if got not in allowed[audience]:
+                            torn.append(audience)
+                        n += 1
+                        status, _, _ = app.respond(
+                            {
+                                "REQUEST_METHOD": "GET",
+                                "PATH_INFO": f"/{audience}/index.html",
+                                "HTTP_X_REPRO_SESSION": f"{audience}-{n % 4}",
+                                "wsgi.input": io.BytesIO(b""),
+                            }
+                        )
+                        assert status == "200 OK", status
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=render, args=(audience,))
+                for audience in self.STACKS
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 1.5
+                turn = 0
+                while time.monotonic() < deadline:
+                    for audience, stacks in self.STACKS.items():
+                        server.reconfigure(audience, stacks[(turn + 1) % 2])
+                    turn += 1
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join()
+                sys.setswitchinterval(interval)
+            app.close()
+            assert not errors, errors[0]
+            assert torn == []
+            # Every cached skeleton was rendered by the current generation.
+            for audience in self.STACKS:
+                current = server.renderer(audience)
+                stack = server.bundle(audience).access_structures
+                expected = reference[audience, stack]
+                cache = server.page_cache(audience)
+                for (uri, renderer), entry in cache._entries.items():
+                    assert renderer is current
+                    assert uri == "index.html" and entry.skeleton == expected[0]
+
+    def test_reconfigures_leave_the_base_class_and_no_old_generation(self, fixture):
+        import gc
+
+        gc.collect()
+        base_dict = dict(vars(PageRenderer))
+        before = len(PageRenderer.__subclasses__())
+        bundles = [AudienceBundle(a, s[0]) for a, s in self.STACKS.items()]
+        with AudienceServer(fixture, bundles) as server:
+            for turn in range(500):
+                for audience, stacks in self.STACKS.items():
+                    if turn % 2 == 0 or audience == "visitor":
+                        server.reconfigure(audience, stacks[(turn + 1) % 2])
+                server.provider("visitor").page("index.html")
+            gc.collect()
+            assert len(PageRenderer.__subclasses__()) == before + 2
+            stacked = sum(
+                len(server.bundle(a).access_structures) for a in server.audiences()
+            )
+            assert len(server.runtime.deployments) == stacked
+            assert server.generation("visitor") == 501
+            assert dict(vars(PageRenderer)) == base_dict
+        assert dict(vars(PageRenderer)) == base_dict
