@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import posixpath
+import weakref
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
@@ -164,6 +165,14 @@ class Generation:
     weave: DeploymentSet
 
 
+def _unweave(index: Any, cls: type) -> None:
+    """Drop a retired generation's woven members and its cached scan."""
+    index.invalidate(cls)
+    for name, member in list(vars(cls).items()):
+        if getattr(member, "__woven__", False):
+            delattr(cls, name)
+
+
 class AudienceServer:
     """Serve every audience's navigation live from one woven process.
 
@@ -260,7 +269,13 @@ class AudienceServer:
             weave.rollback()
             raise
         weave.commit()
-        return Generation(number, bundle, cls(self._fixture), weave)
+        renderer = cls(self._fixture)
+        # A class is always in a reference cycle with itself, so a retired
+        # generation's class would hold its wrappers and aspects until a
+        # full collection.  Once its last renderer is gone, no render can
+        # reach the class again, and unweaving it frees the stack at once.
+        weakref.finalize(renderer, _unweave, self._runtime.shadow_index, cls)
+        return Generation(number, bundle, renderer, weave)
 
     def _require(self, audience: str) -> None:
         if self._closed:
